@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AssociativityViolation,
@@ -48,6 +50,16 @@ class Algebra:
         }
         self.table = {ij: row for ij, row in self.table.items() if row}
         self.unit = unit
+        # mul works on integers: the table scaled by the lcm of its
+        # denominators, as rows i -> ((j, ((k, c), ...)), ...)
+        self._den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
+        rows = [[] for _ in range(rank)]
+        for (i, j), row in self.table.items():
+            rows[i].append((j, tuple(
+                (k, c.numerator * (self._den // c.denominator)) for k, c in row.items()
+            )))
+        self._rows = tuple(tuple(r) for r in rows)
+        self._zero = (ring.zero,) * rank
         if check:
             self._check_associativity()
             if unit is not None:
@@ -56,7 +68,7 @@ class Algebra:
     # --- element helpers ---
 
     def zero(self):
-        return (self.ring.zero,) * self.rank
+        return self._zero
 
     def basis_element(self, i: int):
         z = self.ring.zero
@@ -69,37 +81,78 @@ class Algebra:
         return coords
 
     def add(self, x, y):
-        return tuple(self.ring.add(a, b) for a, b in zip(x, y))
+        return _reduce(self.ring, [a + b for a, b in zip(x, y)])
 
     def sub(self, x, y):
-        return tuple(self.ring.sub(a, b) for a, b in zip(x, y))
+        return _reduce(self.ring, [a - b for a, b in zip(x, y)])
 
     def scale(self, c, x):
-        return tuple(self.ring.mul(c, a) for a in x)
+        return _reduce(self.ring, [c * a for a in x])
 
     def scale_int(self, m: int, x):
         return self.scale(self.ring.from_int(m), x)
 
     def is_zero_elem(self, x) -> bool:
-        return all(self.ring.is_zero(a) for a in x)
+        return not any(x)
+
+    def linear_combination(self, pairs):
+        """Sum of m * x over (integer m, element x) pairs, with one exact
+        reduction per coordinate."""
+        terms = [(m, *_numerators(x)) for m, x in pairs if m]
+        if not terms:
+            return self._zero
+        den = lcm(*[d for _, _, d in terms])
+        acc = [0] * self.rank
+        for m, nums, d in terms:
+            f = m * (den // d)
+            for k, n in enumerate(nums):
+                if n:
+                    acc[k] += f * n
+        return _from_numerators(self.ring, acc, den)
 
     def mul(self, x, y):
-        """Bilinear product via the structure constants."""
+        """Bilinear product via the structure constants.
+
+        Only nonzero coordinates that meet a structure constant are
+        visited, and the loop multiplies integers. Over ZZ and GF(p) the
+        sums are reduced once per output coordinate. Over the rationals
+        each product x_i * y_j is kept as an integer ratio, the ratios are
+        brought to one common denominator, and one Fraction is built per
+        nonzero output coordinate.
+        """
         if len(x) != self.rank or len(y) != self.rank:
             raise RankMismatch("element length does not match algebra rank")
-        ring = self.ring
-        out = [ring.zero] * self.rank
-        for (i, j), row in self.table.items():
-            xi = x[i]
-            if ring.is_zero(xi):
-                continue
-            yj = y[j]
-            if ring.is_zero(yj):
-                continue
-            f = ring.mul(xi, yj)
-            for k, c in row.items():
-                out[k] = ring.add(out[k], ring.mul(f, c))
-        return tuple(out)
+        rows = self._rows
+        acc = [0] * self.rank
+        if self.ring.kind != CoeffRing.RATIONALS:
+            for i, a in enumerate(x):
+                row = rows[i]
+                if row and a:
+                    for j, consts in row:
+                        b = y[j]
+                        if b:
+                            f = a * b
+                            for k, c in consts:
+                                acc[k] += f * c
+            return _reduce(self.ring, acc)
+        terms = []
+        for i, a in enumerate(x):
+            row = rows[i]
+            if row and a:
+                an, ad = a.as_integer_ratio()
+                for j, consts in row:
+                    b = y[j]
+                    if b:
+                        bn, bd = b.as_integer_ratio()
+                        terms.append((an * bn, ad * bd, consts))
+        if not terms:
+            return self._zero
+        den = lcm(*[d for _, d, _ in terms])
+        for f, d, consts in terms:
+            f *= den // d
+            for k, c in consts:
+                acc[k] += f * c
+        return _from_numerators(self.ring, acc, den * self._den)
 
     def product(self, elems):
         it = iter(elems)
@@ -154,6 +207,30 @@ class Algebra:
         return f"Algebra(rank={self.rank}, ring={self.ring})"
 
 
+def _reduce(ring: CoeffRing, coords):
+    """Coordinates computed with plain operators, as ring elements."""
+    p = ring.p
+    return tuple([a % p for a in coords]) if p else tuple(coords)
+
+
+def _numerators(x):
+    """(integer numerators of x over a common denominator d, d)."""
+    ratios = [a.as_integer_ratio() for a in x]
+    d = lcm(*[e for _, e in ratios])
+    if d == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (d // e) for n, e in ratios], d
+
+
+def _from_numerators(ring: CoeffRing, acc, den: int):
+    """Ring elements from integer numerators over den (den is 1 except
+    over the rationals); one Fraction per nonzero rational coordinate."""
+    if ring.kind == CoeffRing.RATIONALS:
+        zero = ring.zero
+        return tuple([Fraction(s, den) if s else zero for s in acc])
+    return _reduce(ring, acc)
+
+
 @dataclass(frozen=True)
 class Derivation:
     """Leibniz-verified linear map, stored as a row-major matrix applied
@@ -161,10 +238,31 @@ class Derivation:
 
     matrix: tuple[tuple[object, ...], ...]
 
-    def apply(self, ring: CoeffRing, x):
-        return tuple(
-            _dot(ring, row, x) for row in self.matrix
+    def __post_init__(self):
+        # sparse integer rows ((b, c), ...) of the matrix scaled by the lcm
+        # of its denominators
+        den = lcm(*(c.denominator for row in self.matrix for c in row if c))
+        rows = tuple(
+            tuple((b, c.numerator * (den // c.denominator)) for b, c in enumerate(row) if c)
+            for row in self.matrix
         )
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", rows)
+
+    def apply(self, ring: CoeffRing, x):
+        den = self._den
+        if ring.kind == CoeffRing.RATIONALS:
+            x, dx = _numerators(x)
+            den *= dx
+        acc = []
+        for row in self._rows:
+            s = 0
+            for b, c in row:
+                a = x[b]
+                if a:
+                    s += c * a
+            acc.append(s)
+        return _from_numerators(ring, acc, den)
 
     def power_apply(self, ring: CoeffRing, x, order: int):
         for _ in range(order):
@@ -173,15 +271,7 @@ class Derivation:
 
     @property
     def is_zero(self) -> bool:
-        return all(all(c == 0 for c in row) for row in self.matrix)
-
-
-def _dot(ring: CoeffRing, row, x):
-    acc = ring.zero
-    for c, a in zip(row, x):
-        if not ring.is_zero(c) and not ring.is_zero(a):
-            acc = ring.add(acc, ring.mul(c, a))
-    return acc
+        return not any(self._rows)
 
 
 @dataclass(frozen=True)
@@ -421,11 +511,6 @@ def unitalize(A: Algebra) -> Algebra:
         table[(i + 1, j + 1)] = {k + 1: c for k, c in row.items()}
     names = ("1",) + tuple(A.basis_names)
     return Algebra(A.ring, r + 1, names, table, unit=0, check=False)
-
-
-def embed_unital(A: Algebra, x):
-    """Coordinates of an A-element inside unitalize(A)."""
-    return (A.ring.zero,) + tuple(x)
 
 
 # --- the algebra-definition document ------------------------------------

@@ -297,6 +297,8 @@ def cmd_words_bounds(args) -> int:
         "oracle": " ".join(map(str, args.oracle)) if args.oracle else None,
         "threads": args.threads,
     }
+    if args.threads < 1:
+        raise CliInputError(f"--threads must be at least 1, got {args.threads}")
     rep = Report("words-bounds", params)
     res = compute_bounds(args.d, b, args.k, eps)
     rep.add("M", res.M)
@@ -360,13 +362,20 @@ def cmd_ore_nilpotency(args) -> int:
             )
         T_names = args.T.split(",") if args.T else list(A.basis_names)
         T = [A.basis_element(_basis_index(A, s)) for s in T_names]
+        _check_set_in_span(A, S, A.span(T), args.k)
         from .algebra import b_sequence
 
         bseq = b_sequence(A, delta, T, 0)
         rep.add("b_sequence", ",".join(map(str, bseq.prefix)))
         bound_value = theorem_bound(A, delta, T, args.k, identities[args.bound])
         rep.add("theorem_bound", bound_value)
-    result = minimal_nilpotency(A, delta, S, args.cap, theorem_bound_value=bound_value)
+    try:
+        result = minimal_nilpotency(A, delta, S, args.cap, theorem_bound_value=bound_value)
+    except ValueError as exc:  # the report refuses minimal_N > theorem_bound
+        rep.add("minimal_le_bound", False)
+        rep.add("verdict", f"MISMATCH: {exc}")
+        rep.emit(args.json)
+        return VERDICT_MISMATCH
     rep.add("power_dims", ",".join(map(str, result.power_dims)))
     if result.minimal_N is None:
         rep.add("minimal_N", f"cap {args.cap} exceeded")
@@ -376,6 +385,25 @@ def cmd_ore_nilpotency(args) -> int:
             rep.add("minimal_le_bound", result.minimal_N <= bound_value)
     rep.emit(args.json)
     return 0
+
+
+def _check_set_in_span(A: Algebra, S, span_T, k: int) -> None:
+    """The theorem bound covers only S inside T + Tx + ... + Tx^k."""
+    for n, f in enumerate(S, start=1):
+        for i, c in enumerate(f.coeffs):
+            if A.is_zero_elem(c):
+                continue
+            if i > k:
+                why = f"x-degree {i} exceeds k={k}"
+            elif not span_T.contains(c):
+                why = "coefficient is not in span(T)"
+            else:
+                continue
+            raise CliInputError(
+                f"set element {n} ({f.fmt(A)}): x^{i} coefficient "
+                f"{A.fmt_element(c)}: {why}; the theorem bound needs "
+                f"S inside T + Tx + ... + Tx^{k}"
+            )
 
 
 def cmd_radical_check(args) -> int:
@@ -502,12 +530,13 @@ def cmd_examples(args) -> int:
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         rep.add("file", str(path))
         A, derivations, identities = load_algebra(path.read_text())
+        delta = derivations["inner_e12"]
         S = _parse_set(A, "e12 + e23*x")
-        result = minimal_nilpotency(A, _zero_derivation(A), S, 6)
+        result = minimal_nilpotency(A, delta, S, 6)
         rep.add("set", "e12 + e23*x")
         rep.add("minimal_N", result.minimal_N)
         T = [A.basis_element(i) for i in range(3)]
-        bound = theorem_bound(A, derivations["inner_e12"], T, 1, identities["vanish3"])
+        bound = theorem_bound(A, delta, T, 1, identities["vanish3"])
         rep.add("theorem_bound", bound)
         expected = result.minimal_N == 2 and result.minimal_N <= bound
         rep.add("verdict", "nilpotency pipeline as expected" if expected else "MISMATCH")

@@ -242,9 +242,6 @@ class Subspace:
                 w = [a - f * b for a, b in zip(w, row)]
         return all(a == 0 for a in w)
 
-    def contains_all(self, vectors) -> bool:
-        return all(self.contains(v) for v in vectors)
-
     def plus(self, other: "Subspace") -> "Subspace":
         if self.ring != other.ring or self.ambient != other.ambient:
             raise ValueError("subspace sum requires matching ring and ambient rank")

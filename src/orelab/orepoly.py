@@ -127,22 +127,32 @@ def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> Dif
     binomial expansion of x^d * a."""
     if f.is_zero or g.is_zero:
         return DiffPoly.zero(A)
-    z = A.zero()
-    out = [z] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, fa in enumerate(f.coeffs):
-        if A.is_zero_elem(fa):
+    by_degree = [[] for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
+    for j, gb in enumerate(g.coeffs):
+        if A.is_zero_elem(gb):
             continue
-        for j, gb in enumerate(g.coeffs):
-            if A.is_zero_elem(gb):
+        chain = [gb]
+        for i, fa in enumerate(f.coeffs):
+            if A.is_zero_elem(fa):
                 continue
             # fa x^i * gb x^j = sum_t C(i,t) fa delta^t(gb) x^(i-t+j)
-            cur = gb
             for t in range(i + 1):
-                term = A.scale_int(comb(i, t), A.mul(fa, cur))
-                out[i - t + j] = A.add(out[i - t + j], term)
-                if t < i:
-                    cur = delta.apply(A.ring, cur)
-    return DiffPoly(A, out)
+                cur = _delta_iterate(A, delta, chain, t)
+                if A.is_zero_elem(cur):
+                    break
+                by_degree[i - t + j].append((comb(i, t), A.mul(fa, cur)))
+    return DiffPoly(A, [A.linear_combination(pairs) for pairs in by_degree])
+
+
+def _delta_iterate(A: Algebra, delta: Derivation, chain: list, order: int):
+    """delta^order(chain[0]), extending the memo chain = [a, delta(a), ...]
+    as needed. The chain stops at its first zero iterate: every later one
+    is zero too."""
+    while len(chain) <= order:
+        if A.is_zero_elem(chain[-1]):
+            return chain[-1]
+        chain.append(delta.apply(A.ring, chain[-1]))
+    return chain[order]
 
 
 def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
@@ -198,15 +208,15 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     if any(p > k for p in exps):
         raise ExponentTooLarge(f"exponents {exps} exceed k={k}")
 
-    # delta-iterates per factor slot, computed up to the largest possible
-    # carried degree
+    # delta-iterates per generator, up to the largest possible carried
+    # degree or the first zero iterate
     max_order = sum(exps)
-    iterates = []
+    chains = {}
     for i in gen_indices:
-        chain = [gens[i]]
-        for _ in range(max_order):
-            chain.append(delta.apply(A.ring, chain[-1]))
-        iterates.append(chain)
+        if i not in chains:
+            chains[i] = [gens[i]]
+            _delta_iterate(A, delta, chains[i], max_order)
+    iterates = [chains[i] for i in gen_indices]
 
     out: dict = {}
     if not A.is_zero_elem(gens[head]):
@@ -221,8 +231,9 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
                 out[key] = out.get(key, 0) + coeff
                 continue
             d = carried + exps[t]
-            for j in range(d + 1):
-                if A.is_zero_elem(iterates[t][j]):
+            chain = iterates[t]
+            for j in range(min(d + 1, len(chain))):
+                if A.is_zero_elem(chain[j]):
                     continue
                 stack.append((jprefix + (j,), coeff * comb(d, j)))
 
@@ -242,13 +253,18 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
 def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly:
     """Sum of canonical terms as a DiffPoly; generators[i] is the element
     a_i referenced by term indices."""
-    acc = DiffPoly.zero(A)
+    chains: dict = {}  # generator index -> its delta-iterates so far
+    by_degree: dict = {}
     for t in terms:
         elem = A.element(generators[t.head])
         for idx, j in zip(t.indices, t.jword.letters):
-            elem = A.mul(elem, delta.power_apply(A.ring, A.element(generators[idx]), j))
-        acc = dp_add(A, acc, dp_scale_int(A, t.coeff, DiffPoly.monomial(A, elem, t.xdeg)))
-    return acc
+            chain = chains.get(idx)
+            if chain is None:
+                chain = chains[idx] = [A.element(generators[idx])]
+            elem = A.mul(elem, _delta_iterate(A, delta, chain, j))
+        by_degree.setdefault(t.xdeg, []).append((t.coeff, elem))
+    top = max(by_degree, default=-1)
+    return DiffPoly(A, [A.linear_combination(by_degree.get(d, ())) for d in range(top + 1)])
 
 
 def direct_product(A: Algebra, delta: Derivation, generators, head: int,
@@ -263,7 +279,6 @@ def direct_product(A: Algebra, delta: Derivation, generators, head: int,
 
 
 def _poly_vector(A: Algebra, f: DiffPoly, deg_cap: int):
-    z = A.ring.zero
     vec = []
     for i in range(deg_cap + 1):
         c = f.coeffs[i] if i < len(f.coeffs) else A.zero()

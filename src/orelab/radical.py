@@ -39,12 +39,6 @@ class StabilityResult:
     witness: tuple | None  # (element of N, its image outside N)
 
 
-def left_multiplication_matrix(A: Algebra, z):
-    """Columns are z * e_j in coordinates."""
-    cols = [A.mul(z, A.basis_element(j)) for j in range(A.rank)]
-    return [tuple(cols[j][i] for j in range(A.rank)) for i in range(A.rank)]
-
-
 def _trace_of_left(A: Algebra, z):
     ring = A.ring
     acc = ring.zero

@@ -28,7 +28,7 @@ def _is_prime(p: int) -> bool:
 class CoeffRing:
     """One of ZZ, QQ, or GF(p). Immutable."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "zero", "one")
 
     INTEGERS = "integers"
     RATIONALS = "rationals"
@@ -44,6 +44,8 @@ class CoeffRing:
             raise ValueError("modulus only meaningful for prime fields")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "zero", Fraction(0) if kind == self.RATIONALS else 0)
+        object.__setattr__(self, "one", Fraction(1) if kind == self.RATIONALS else 1)
 
     def __setattr__(self, *a):
         raise AttributeError("CoeffRing is immutable")
@@ -74,14 +76,6 @@ class CoeffRing:
         return self.p if self.kind == self.PRIME_FIELD else 0
 
     # --- element arithmetic ---
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == self.RATIONALS else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == self.RATIONALS else 1
 
     def from_int(self, n: int):
         if self.kind == self.RATIONALS:

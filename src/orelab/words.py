@@ -10,6 +10,7 @@ arithmetic is exact: integers and Fractions only.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -494,7 +495,8 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     occur in a k-valid word and are excluded from the enumeration.
 
     workers > 1 partitions the enumeration by first letter across
-    processes; the aggregate is order-independent.
+    processes, at most os.cpu_count() of them; the aggregate is
+    order-independent.
     """
     if max_n < 1:
         raise ValueError("max_n is at least 1")
@@ -507,6 +509,7 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
         raise BudgetExceeded(
             f"oracle would enumerate {total} words, budget is {budget}"
         )
+    workers = min(workers, os.cpu_count() or 1)
     pool = None
     if workers > 1:
         try:

@@ -2,13 +2,16 @@
 definition-file format."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import random_derivation, random_element
+from conftest import random_conjugate, random_derivation, random_element
 
 from orelab.algebra import (
     Algebra,
+    Derivation,
     MultilinearIdentity,
     b_sequence,
     derivation_space,
@@ -23,6 +26,7 @@ from orelab.algebra import (
     verify_leibniz,
 )
 from orelab.catalog import (
+    charp_truncated,
     commutators_identity,
     formal_derivative,
     split_pair,
@@ -40,7 +44,9 @@ from orelab.errors import (
     NotNilpotent,
     RankMismatch,
 )
+from orelab.orepoly import CanonicalTerm, evaluate_terms
 from orelab.rings import GF, QQ, ZZ
+from orelab.words import Word
 
 
 # --- construction and validation -----------------------------------------
@@ -153,6 +159,132 @@ def test_leibniz_holds_on_random_pairs(rng):
         lhs = D.apply(A.ring, A.mul(x, y))
         rhs = A.add(A.mul(D.apply(A.ring, x), y), A.mul(x, D.apply(A.ring, y)))
         assert lhs == rhs
+
+
+# --- the exact scalar fast path against the definitions ----------------------
+
+def _ref_mul(A, x, y):
+    """sum over the raw table of x_i y_j c_ij^k e_k, one CoeffRing op at a time."""
+    ring = A.ring
+    out = [ring.zero] * A.rank
+    for (i, j), row in A.table.items():
+        for k, c in row.items():
+            out[k] = ring.add(out[k], ring.mul(ring.mul(x[i], y[j]), c))
+    return tuple(out)
+
+
+def _ref_apply(ring, D, x):
+    out = []
+    for row in D.matrix:
+        acc = ring.zero
+        for c, a in zip(row, x):
+            acc = ring.add(acc, ring.mul(c, a))
+        out.append(acc)
+    return tuple(out)
+
+
+def _ref_evaluate(A, D, gens, terms):
+    """Coefficients of the sum of canonical terms, trailing zeros trimmed."""
+    ring = A.ring
+    zero = (ring.zero,) * A.rank
+    coeffs = {}
+    for t in terms:
+        elem = gens[t.head]
+        for idx, j in zip(t.indices, t.jword.letters):
+            factor = gens[idx]
+            for _ in range(j):
+                factor = _ref_apply(ring, D, factor)
+            elem = _ref_mul(A, elem, factor)
+        prev = coeffs.get(t.xdeg, zero)
+        m = ring.from_int(t.coeff)
+        coeffs[t.xdeg] = tuple(ring.add(p, ring.mul(m, e)) for p, e in zip(prev, elem))
+    out = [coeffs.get(d, zero) for d in range(max(coeffs, default=-1) + 1)]
+    while out and all(a == 0 for a in out[-1]):
+        out.pop()
+    return tuple(out)
+
+
+def _zz_cases(rng):
+    # ZZ[u]/(u^2 - 3u) has a structure constant other than 0 and 1
+    twisted = Algebra(ZZ, 2, ("1", "u"), {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                          (1, 0): {1: 1}, (1, 1): {1: 3}})
+    for A in (upper_2x2(ZZ), truncated_polynomial(ZZ, 3), twisted):
+        u = tuple(rng.randint(-3, 3) for _ in range(A.rank))
+        yield A, inner_derivation(A, u)
+    A = truncated_polynomial(ZZ, 3)
+    yield A, Derivation(tuple(tuple(ZZ.zero for _ in range(3)) for _ in range(3)))
+
+
+def _qq_cases(rng):
+    # QQ[u]/(u^2 - u/2) mixes int and Fraction structure constants;
+    # conjugates have dense, mostly non-integral ones
+    halved = Algebra(QQ, 2, ("1", "u"), {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                         (1, 0): {1: 1}, (1, 1): {1: Fraction(1, 2)}})
+    # apply and evaluate_terms use the matrix only as a linear map
+    yield halved, Derivation(((0, Fraction(-1, 3)), (Fraction(2, 5), 1)))
+    for base in (strictly_upper_3x3(), truncated_polynomial(QQ, 3), upper_2x2()):
+        A = random_conjugate(base, rng)
+        yield A, random_derivation(A, rng)
+
+
+def _gf_cases(p):
+    def cases(rng):
+        yield charp_truncated(p)
+        A = upper_2x2(GF(p))
+        yield A, inner_derivation(A, tuple(rng.randrange(p) for _ in range(A.rank)))
+    return cases
+
+
+def _zz_scalar(rng):
+    return rng.randint(-4, 4)
+
+
+def _qq_scalar(rng):
+    # ints, Fractions and both kinds of zero in one element
+    return rng.choice((
+        rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 6)), 0, QQ.zero,
+    ))
+
+
+@pytest.mark.parametrize("cases, scalar, check_type", [
+    (_zz_cases, _zz_scalar, lambda a: type(a) is int),
+    (_qq_cases, _qq_scalar, lambda a: type(a) is Fraction),
+    (_gf_cases(2), lambda rng: rng.randrange(2), lambda a: type(a) is int and 0 <= a < 2),
+    (_gf_cases(3), lambda rng: rng.randrange(3), lambda a: type(a) is int and 0 <= a < 3),
+    (_gf_cases(5), lambda rng: rng.randrange(5), lambda a: type(a) is int and 0 <= a < 5),
+], ids=["ZZ", "QQ", "GF2", "GF3", "GF5"])
+def test_fast_path_matches_definition(cases, scalar, check_type):
+    rng = random.Random(0xFA57)
+    for A, D in cases(rng):
+        ring = A.ring
+
+        def draw():
+            return tuple(scalar(rng) for _ in range(A.rank))
+
+        zeros = [tuple(0 for _ in range(A.rank)), A.zero()]
+        elems = zeros + [A.basis_element(i) for i in range(A.rank)]
+        elems += [draw() for _ in range(12)]
+        for x in elems:
+            got = D.apply(ring, x)
+            assert got == _ref_apply(ring, D, x)
+            assert all(check_type(a) for a in got)
+            for y in elems:
+                got = A.mul(x, y)
+                assert got == _ref_mul(A, x, y)
+                assert all(check_type(a) for a in got)
+        for _ in range(20):
+            gens = [rng.choice(elems) for _ in range(3)]
+            terms = []
+            for _ in range(rng.randint(0, 6)):
+                n = rng.randint(1, 3)
+                letters = tuple(rng.randint(0, 3) for _ in range(n))
+                terms.append(CanonicalTerm(
+                    rng.randint(-3, 3), rng.randrange(3),
+                    tuple(rng.randrange(3) for _ in range(n)), Word(letters), rng.randint(0, 3),
+                ))
+            got = evaluate_terms(A, D, gens, terms)
+            assert got.coeffs == _ref_evaluate(A, D, gens, terms)
+            assert all(check_type(a) for c in got.coeffs for a in c)
 
 
 # --- identities -------------------------------------------------------------

@@ -101,6 +101,13 @@ def test_words_bounds_bad_eps():
     assert res.returncode == 2
 
 
+def test_words_bounds_rejects_nonpositive_threads():
+    from orelab import cli
+
+    assert cli.main(["words-bounds", "--d", "1", "--k", "1", "--b", "2",
+                     "--oracle", "3", "2", "--threads", "0"]) == 2
+
+
 def test_words_bounds_budget_exceeded():
     res = run_cli("words-bounds", "--d", "2", "--k", "3", "--eps", "1", "--b", "2,3",
                   "--oracle", "12", "9")
@@ -142,6 +149,41 @@ def test_ore_nilpotency_with_bound(tmp_path):
     assert res.returncode == 0
     assert "minimal_N = 2" in res.stdout
     assert "minimal_le_bound = True" in res.stdout
+
+
+def test_ore_nilpotency_bound_rejects_set_outside_hypothesis(tmp_path):
+    run_cli("examples", "upper3strict", "--dir", str(tmp_path))
+    path = str(tmp_path / "upper3strict.json")
+    res = run_cli("ore-nilpotency", path, "--set", "e12*x^3 + e23*x^5",
+                  "--T", "e13", "--k", "1", "--bound", "vanish3",
+                  "--derivation", "inner_e12")
+    assert res.returncode == 2
+    assert "theorem_bound" not in res.stdout
+    assert "set element 1" in res.stderr
+    assert "x^3 coefficient 1*e12" in res.stderr
+    assert "exceeds k=1" in res.stderr
+    res = run_cli("ore-nilpotency", path, "--set", "e13*x; e12 + e13",
+                  "--T", "e13", "--k", "1", "--bound", "vanish3")
+    assert res.returncode == 2
+    assert "set element 2" in res.stderr
+    assert "x^0 coefficient 1*e12" in res.stderr
+    assert "not in span(T)" in res.stderr
+
+
+def test_ore_nilpotency_bound_below_minimal_is_a_verdict(tmp_path, monkeypatch, capsys):
+    from orelab import cli
+
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "theorem_bound", lambda *args, **kwargs: 1)
+    rc = cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
+                   "--set", "e12 + e23*x", "--bound", "vanish3",
+                   "--derivation", "inner_e12"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "theorem_bound = 1" in out
+    assert "minimal_le_bound = False" in out
+    assert "verdict = MISMATCH" in out
 
 
 def test_ore_nilpotency_bad_set(tmp_path):

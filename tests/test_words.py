@@ -353,6 +353,35 @@ def test_oracle_budget():
         minimal_N_oracle(2, BoundSequence((2, 3)), 3, max_n=12, max_letter=9, budget=1000)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.mark.parametrize("cpus, expected_sizes", [(2, [2]), (1, []), (None, [])])
+def test_oracle_workers_clamped_to_cpu_count(monkeypatch, cpus, expected_sizes):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    b = BoundSequence((2, 3, 4, 5, 6))
+    # the answer is 5, so lengths >= 4 go through the pool when there is one
+    assert minimal_N_oracle(2, b, 1, max_n=5, max_letter=4, workers=64) == 5
+    assert _RecordingPool.sizes == expected_sizes
+
+
 # --- generator sanity -------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 5, 20, 38, 64, 200])
