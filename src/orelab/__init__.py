@@ -5,8 +5,7 @@ derivations, Ore-extension rewriting and nilpotency pipelines, and
 radical/derivation-stability checks.
 """
 
-from ._kernels import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
+kernel_backend = "pure"
 
 __all__ = ["kernel_backend", "__version__"]

@@ -216,26 +216,26 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
         if i not in chains:
             chains[i] = [gens[i]]
             _delta_iterate(A, delta, chains[i], max_order)
-    iterates = [chains[i] for i in gen_indices]
+    # orders j with a nonzero iterate delta^j, per factor
+    live = [[j for j, a in enumerate(chains[i]) if not A.is_zero_elem(a)]
+            for i in gen_indices]
 
     out: dict = {}
     if not A.is_zero_elem(gens[head]):
-        stack = [((), 1)]
+        # (j-prefix, coefficient, x-degree carried into the next factor)
+        stack = [((), 1, 0)]
         while stack:
-            jprefix, coeff = stack.pop()
+            jprefix, coeff, carried = stack.pop()
             t = len(jprefix)
-            carried = sum(exps[:t]) - sum(jprefix)
             if t == n:
-                M = carried + exps[n]
-                key = (tuple(jprefix), M)
+                key = (jprefix, carried + exps[n])
                 out[key] = out.get(key, 0) + coeff
                 continue
             d = carried + exps[t]
-            chain = iterates[t]
-            for j in range(min(d + 1, len(chain))):
-                if A.is_zero_elem(chain[j]):
-                    continue
-                stack.append((jprefix + (j,), coeff * comb(d, j)))
+            for j in live[t]:
+                if j > d:
+                    break
+                stack.append((jprefix + (j,), coeff * comb(d, j), d - j))
 
     merged: dict = {}
     for (jword, M), c in out.items():

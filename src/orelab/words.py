@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import isqrt
+from math import isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import (
@@ -328,16 +328,7 @@ def find_d_decreasing_constrained(u, d: int, eps, M: int) -> Factorization | Non
     return _search_decreasing(u, d, window_start, M)
 
 
-def has_d_decreasing(u, d: int) -> bool:
-    return find_d_decreasing(u, d) is not None
-
-
 # --- the bound recursion ----------------------------------------------
-
-
-def _binom2(x: Fraction) -> Fraction:
-    """Generalized C(x, 2) = x(x-1)/2 for rational x."""
-    return x * (x - 1) / 2
 
 
 def _tail_positive_from(qa: int, qb: int, qc: int) -> int:
@@ -357,10 +348,11 @@ def _tail_positive_from(qa: int, qb: int, qc: int) -> int:
 def compute_bounds(d: int, b: BoundSequence, k: int, eps) -> BoundsResult:
     """Constants (M, N) of the decreasing-subword guarantee.
 
-    Base depth 0 is (1, 1). At each deeper level, constants for eps/2 are
-    taken first; M2 is the least integer exceeding both M1 and
-    8 b_{M1}^2 k / eps^2, and N2 is the least threshold at/after N1 from
-    which M2 * C((eps n/2 - 1)/b_{M1}, 2) > k * C(n+1, 2) holds for all n
+    Base depth 0 is (1, 1). Depth j builds on depth j - 1, whose constants
+    are taken for half of depth j's eps (depth d uses eps itself). M2 is
+    the least integer exceeding both M1 and 8 b_{M1}^2 k / eps^2, and N2
+    is the least threshold at/after N1 from which
+    M2 * C((eps n/2 - 1)/b_{M1}, 2) > k * C(n+1, 2) holds for all n
     (generalized binomial; exact rational root isolation). Strictness
     N2 > N1 is restored by bumping on equality.
     """
@@ -371,40 +363,34 @@ def compute_bounds(d: int, b: BoundSequence, k: int, eps) -> BoundsResult:
     eps = Fraction(eps)
     if not (0 < eps <= 1):
         raise ValueError("eps lies in (0, 1]")
-    if d == 0:
-        return BoundsResult(1, 1, ())
 
-    inner = compute_bounds(d - 1, b, k, eps / 2)
-    M1, N1 = inner.M, inner.N
-    b1 = b.value(M1)
+    M1, N1 = 1, 1
+    trace = []
+    e = eps / 2 ** d
+    for _ in range(d):
+        e *= 2
+        b1 = b.value(M1)
 
-    bound_ii = Fraction(8 * b1 * b1 * k) / (eps * eps)
-    M2 = max(M1 + 1, int(bound_ii) + 1)
+        bound_ii = Fraction(8 * b1 * b1 * k) / (e * e)
+        M2 = max(M1 + 1, int(bound_ii) + 1)
 
-    # difference quadratic M2*C((eps n/2 - 1)/b1, 2) - k*C(n+1, 2) in n
-    a_lin = eps / (2 * b1)          # y = a_lin*n + c_lin
-    c_lin = Fraction(-1, b1)
-    qa = Fraction(M2, 2) * a_lin * a_lin - Fraction(k, 2)
-    qb = Fraction(M2, 2) * (2 * a_lin * c_lin - a_lin) - Fraction(k, 2)
-    qc = Fraction(M2, 2) * (c_lin * c_lin - c_lin)
-    if qa <= 0:
-        raise ConstructionFailed("difference quadratic lost its positive lead")
-    den = qa.denominator
-    for q in (qb, qc):
-        den = den * q.denominator // _gcd(den, q.denominator)
-    n0 = _tail_positive_from(int(qa * den), int(qb * den), int(qc * den))
+        # difference quadratic M2*C((e n/2 - 1)/b1, 2) - k*C(n+1, 2) in n
+        a_lin = e / (2 * b1)            # y = a_lin*n + c_lin
+        c_lin = Fraction(-1, b1)
+        qa = Fraction(M2, 2) * a_lin * a_lin - Fraction(k, 2)
+        qb = Fraction(M2, 2) * (2 * a_lin * c_lin - a_lin) - Fraction(k, 2)
+        qc = Fraction(M2, 2) * (c_lin * c_lin - c_lin)
+        if qa <= 0:
+            raise ConstructionFailed("difference quadratic lost its positive lead")
+        den = lcm(qa.denominator, qb.denominator, qc.denominator)
+        n0 = _tail_positive_from(int(qa * den), int(qb * den), int(qc * den))
 
-    N2 = max(n0, N1)
-    if N2 == N1:
-        N2 += 1
-    level = BoundsLevel(M1, N1, M2, N2)
-    return BoundsResult(M2, N2, inner.trace + (level,))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        N2 = max(n0, N1)
+        if N2 == N1:
+            N2 += 1
+        trace.append(BoundsLevel(M1, N1, M2, N2))
+        M1, N1 = M2, N2
+    return BoundsResult(M1, N1, tuple(trace))
 
 
 # --- the recursive witness construction --------------------------------

@@ -1,75 +1,35 @@
-"""Pure and compiled word kernels agree on randomized inputs."""
+"""Word kernels against their definitions on randomized inputs."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orelab import _kernels, _wordpure
-
-try:
-    from orelab import _wordcore
-except ImportError:
-    _wordcore = None
-
-needs_compiled = pytest.mark.skipif(
-    _wordcore is None, reason="compiled kernels not built"
-)
+import orelab
+from orelab import _kernels
 
 letters_strategy = st.lists(st.integers(0, 40), min_size=1, max_size=60).map(tuple)
-prefix_strategy = st.lists(st.integers(1, 50), min_size=1, max_size=8).map(tuple)
 
 
 def test_backend_reported():
-    assert _kernels.BACKEND in ("pure", "compiled")
+    assert orelab.kernel_backend == "pure"
 
 
-@needs_compiled
-@given(letters_strategy)
-def test_weight_agree(letters):
-    assert _wordcore.weight_letters(letters) == _wordpure.weight_letters(letters)
-
-
-@needs_compiled
-@given(letters_strategy, st.integers(1, 4))
-def test_k_valid_agree(letters, k):
-    assert bool(_wordcore.k_valid_letters(letters, k)) == _wordpure.k_valid_letters(letters, k)
-
-
-@needs_compiled
-@given(letters_strategy, letters_strategy)
-def test_compare_agree(a, b):
-    assert _wordcore.compare_letters(a, b) == _wordpure.compare_letters(a, b)
-
-
-@needs_compiled
-@given(letters_strategy, prefix_strategy, st.booleans())
-def test_b_bounded_agree(letters, prefix, tail):
-    assert _wordcore.b_bounded_letters(letters, prefix, tail) == \
-        _wordpure.b_bounded_letters(letters, prefix, tail)
-
-
-@needs_compiled
-@given(letters_strategy)
-def test_max_run_profile_agree(letters):
-    assert list(_wordcore.max_run_profile(letters)) == _wordpure.max_run_profile(letters)
-
-
-@needs_compiled
 @given(letters_strategy, st.data())
-def test_compare_ranges_agree(letters, data):
+def test_compare_ranges_matches_compare_of_slices(letters, data):
     n = len(letters)
     alo = data.draw(st.integers(0, n - 1))
     ahi = data.draw(st.integers(alo + 1, n))
     blo = data.draw(st.integers(0, n - 1))
     bhi = data.draw(st.integers(blo + 1, n))
-    assert _wordcore.compare_ranges(letters, alo, ahi, blo, bhi) == \
-        _wordpure.compare_ranges(letters, alo, ahi, blo, bhi)
+    assert _kernels.compare_ranges(letters, alo, ahi, blo, bhi) == \
+        _kernels.compare(letters[alo:ahi], letters[blo:bhi])
 
 
-def test_dispatch_guard_falls_back_to_pure():
-    # values whose weight would overflow int64 still compute exactly
+def test_big_letters_stay_exact():
     big = (1 << 61, 0, 1 << 61)
-    assert _kernels.weight(big) == _wordpure.weight_letters(big)
     assert _kernels.weight(big) == 3 * (1 << 61)  # sorted (0, B, B) . (3, 2, 1)
     assert _kernels.compare((1 << 70, 2), (1 << 70, 3)) == -1
-    assert _kernels.b_bounded((0, 1 << 70), (2, 1 << 65), True) in (0, 1)
+    # runs of letters <= 0 and <= 1 have length 1 < 2; 2^65 > n covers the rest
+    assert _kernels.b_bounded((0, 1 << 70), (2, 1 << 65), True) == 1
+    # the run of letters <= 2^70 is the whole word, and the tail 2 <= 3
+    assert _kernels.b_bounded((0, 1 << 70, 0), (2, 2), True) == 0
+    assert _kernels.b_bounded((0, 1 << 70), (2, 1 << 65), False) == -1

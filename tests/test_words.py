@@ -162,7 +162,8 @@ def _b_bounded_naive(letters, b: BoundSequence) -> bool:
     return True
 
 
-@given(words, st.lists(st.integers(1, 5), min_size=1, max_size=4), st.booleans())
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=24).map(tuple),
+       st.lists(st.integers(1, 30), min_size=1, max_size=10), st.booleans())
 def test_b_bounded_matches_naive(u, prefix, tail):
     b = BoundSequence(prefix, extend_tail=tail)
     if not tail and len(prefix) <= max(u):
@@ -273,6 +274,12 @@ def test_bounds_condition_ii_holds_per_level():
         for lev, e in zip(res.trace, level_eps):
             b1 = b.value(lev.M1)
             assert lev.M2 > Fraction(8 * b1 * b1 * k) / (e * e)
+
+
+def test_bounds_deep_recursion_is_iterative():
+    res = compute_bounds(1500, BoundSequence((2,)), 1, 1)
+    assert len(res.trace) == 1500
+    assert (res.trace[-1].M2, res.trace[-1].N2) == (res.M, res.N)
 
 
 def test_bounds_insufficient_data():
