@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     RankMismatch,
 )
 from .linalg import Subspace
-from .rings import GF, QQ, ZZ, CoeffRing
+from .rings import GF, QQ, ZZ, CoeffRing, _from_numerators, _numerators, _reduce
 from .words import BoundSequence
 
 
@@ -207,30 +206,6 @@ class Algebra:
         return f"Algebra(rank={self.rank}, ring={self.ring})"
 
 
-def _reduce(ring: CoeffRing, coords):
-    """Coordinates computed with plain operators, as ring elements."""
-    p = ring.p
-    return tuple([a % p for a in coords]) if p else tuple(coords)
-
-
-def _numerators(x):
-    """(integer numerators of x over a common denominator d, d)."""
-    ratios = [a.as_integer_ratio() for a in x]
-    d = lcm(*[e for _, e in ratios])
-    if d == 1:
-        return [n for n, _ in ratios], 1
-    return [n * (d // e) for n, e in ratios], d
-
-
-def _from_numerators(ring: CoeffRing, acc, den: int):
-    """Ring elements from integer numerators over den (den is 1 except
-    over the rationals); one Fraction per nonzero rational coordinate."""
-    if ring.kind == CoeffRing.RATIONALS:
-        zero = ring.zero
-        return tuple([Fraction(s, den) if s else zero for s in acc])
-    return _reduce(ring, acc)
-
-
 @dataclass(frozen=True)
 class Derivation:
     """Leibniz-verified linear map, stored as a row-major matrix applied
@@ -360,34 +335,32 @@ def derivation_space(A: Algebra) -> list[tuple[tuple, ...]]:
     from .linalg import nullspace
 
     r = A.rank
-    ring = A.ring
+    # one equation per coordinate a of D(e_i e_j) - D(e_i) e_j - e_i D(e_j),
+    # keyed (i, j, a); unknown a*r + b is D[a][b]. Each structure constant
+    # e_s e_t = ... + c e_k enters 3r equations. The constants are the
+    # algebra's integer rows (the table times one denominator), which
+    # leave the solution space unchanged.
+    eqs = {}
+
+    def add(key, col, v):
+        eq = eqs.setdefault(key, {})
+        eq[col] = eq.get(col, 0) + v
+
+    for s, row in enumerate(A._rows):
+        for t, consts in row:
+            for k, c in consts:
+                for u in range(r):
+                    add((s, t, u), u * r + k, c)  # D(e_s e_t), coordinate u
+                    add((u, t, k), s * r + u, -c)  # D[s][u] e_s e_t in D(e_u) e_t
+                    add((s, u, k), t * r + u, -c)  # D[t][u] e_s e_t in e_s D(e_u)
     rows = []
-    for i in range(r):
-        for j in range(r):
-            m = A.basis_product(i, j)
-            for a in range(r):
-                coeff = [ring.zero] * (r * r)
-                for b in range(r):
-                    if not ring.is_zero(m[b]):
-                        coeff[a * r + b] = ring.add(coeff[a * r + b], m[b])
-                for b in range(r):
-                    left = A.basis_product(b, j)[a]
-                    if not ring.is_zero(left):
-                        coeff[b * r + i] = ring.sub(coeff[b * r + i], left)
-                    right = A.basis_product(i, b)[a]
-                    if not ring.is_zero(right):
-                        coeff[b * r + j] = ring.sub(coeff[b * r + j], right)
-                if any(not ring.is_zero(c) for c in coeff):
-                    rows.append(tuple(coeff))
-    if not rows:
-        # no constraints: every matrix is a derivation (zero multiplication)
-        basis = []
-        for t in range(r * r):
-            flat = [ring.zero] * (r * r)
-            flat[t] = ring.one
-            basis.append(tuple(flat))
-    else:
-        basis = nullspace(rows, ring)
+    for eq in eqs.values():
+        dense = [0] * (r * r)
+        for col, v in eq.items():
+            dense[col] = v
+        rows.append(dense)
+    # a zero row keeps the column count when there are no constraints
+    basis = nullspace(rows or [[0] * (r * r)], A.ring)
     return [
         tuple(tuple(flat[a * r + b] for b in range(r)) for a in range(r))
         for flat in basis

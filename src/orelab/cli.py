@@ -353,6 +353,8 @@ def cmd_ore_nilpotency(args) -> int:
         "k": args.k,
         "T": args.T,
     }
+    if args.cap < 0:
+        raise CliInputError(f"--cap must be at least 0, got {args.cap}")
     rep = Report("ore-nilpotency", params)
     bound_value = None
     if args.bound is not None:
@@ -643,7 +645,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, ValueError) as exc:
+        # the library raises ValueError for out-of-range arguments
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (BudgetExceeded, FactorialCapExceeded) as exc:

@@ -10,34 +10,81 @@ is division-free and canonical).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .rings import CoeffRing
+from .rings import CoeffRing, _numerators
+
+
+def _echelon(rows, ring: CoeffRing):
+    """Gauss-Jordan elimination on integer rows: (rows, pivot columns).
+
+    Over GF(p) the rows are reduced mod p and each pivot is scaled to 1.
+    Over QQ each row is scaled to integers and elimination is fraction-free,
+    with rows kept primitive (gcd removed); RREF row t is rows[t] divided by
+    rows[t][pivots[t]]. The subtraction in a row update runs over the
+    nonzero columns of the pivot row only.
+    """
+    if not ring.is_field:
+        raise ValueError("rref requires a field")
+    p = ring.p
+    if p:
+        work = [[a % p for a in r] for r in rows]
+    else:
+        work = [_numerators(r)[0] for r in rows]
+    work = [r for r in work if any(r)]
+    m = len(work)
+    pivots = []
+    for j in range(len(work[0]) if work else 0):
+        i = len(pivots)
+        t = next((t for t in range(i, m) if work[t][j]), None)
+        if t is None:
+            continue
+        row = work[t]
+        work[t] = work[i]
+        if p:
+            f = pow(row[j], -1, p)
+            row = [a * f % p for a in row]
+        else:
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+        work[i] = row
+        pv = row[j]
+        nz = [(k, b) for k, b in enumerate(row) if b]
+        for t in range(m):
+            r = work[t]
+            c = r[j]
+            if not c or t == i:
+                continue
+            if p:
+                for k, b in nz:
+                    r[k] = (r[k] - c * b) % p
+                continue
+            # r <- (pv * r - c * row) / gcd(pv, c), then made primitive
+            g = gcd(pv, c)
+            f, c = pv // g, c // g
+            if f != 1:
+                r = [f * a for a in r]
+            for k, b in nz:
+                r[k] -= c * b
+            g = gcd(*r)
+            work[t] = [a // g for a in r] if g > 1 else r
+        pivots.append(j)
+        if i + 1 == m:
+            break
+    return work[:len(pivots)], pivots
 
 
 def rref(rows, ring: CoeffRing):
     """Reduced row echelon form over a field; returns canonical row tuples."""
-    if not ring.is_field:
-        raise ValueError("rref requires a field")
-    work = [list(r) for r in rows if any(not ring.is_zero(a) for a in r)]
-    if not work:
-        return []
-    m, n = len(work), len(work[0])
-    i = 0
-    for j in range(n):
-        piv = next((t for t in range(i, m) if not ring.is_zero(work[t][j])), None)
-        if piv is None:
-            continue
-        work[i], work[piv] = work[piv], work[i]
-        inv = ring.inv(work[i][j])
-        work[i] = [ring.mul(inv, a) for a in work[i]]
-        for t in range(m):
-            if t != i and not ring.is_zero(work[t][j]):
-                f = work[t][j]
-                work[t] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(work[t], work[i])]
-        i += 1
-        if i == m:
-            break
-    return [tuple(r) for r in work[:i]]
+    work, pivots = _echelon(rows, ring)
+    if ring.p:
+        return [tuple(r) for r in work]
+    zero = ring.zero
+    return [
+        tuple([Fraction(a, r[j]) if a else zero for a in r])
+        for r, j in zip(work, pivots)
+    ]
 
 
 def nullspace(rows, ring: CoeffRing):
@@ -45,17 +92,15 @@ def nullspace(rows, ring: CoeffRing):
     if not rows:
         return []
     n = len(rows[0])
-    red = rref(rows, ring)
-    pivots = []
-    for r in red:
-        pivots.append(next(j for j in range(n) if not ring.is_zero(r[j])))
-    free = [j for j in range(n) if j not in pivots]
+    work, pivots = _echelon(rows, ring)
+    p = ring.p
     basis = []
-    for f in free:
+    for f in sorted(set(range(n)).difference(pivots)):
         v = [ring.zero] * n
         v[f] = ring.one
-        for r, p in zip(red, pivots):
-            v[p] = ring.neg(r[f])
+        for r, j in zip(work, pivots):
+            if r[f]:
+                v[j] = -r[f] % p if p else Fraction(-r[f], r[j])
         basis.append(tuple(v))
     return basis
 
@@ -65,14 +110,12 @@ def solve_linear(rows, rhs, ring: CoeffRing):
     if not rows:
         return None
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red = rref(aug, ring)
+    work, pivots = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], ring)
+    if pivots and pivots[-1] == n:
+        return None  # row 0 = 1: inconsistent
     x = [ring.zero] * n
-    for row in red:
-        p = next(j for j in range(n + 1) if not ring.is_zero(row[j]))
-        if p == n:
-            return None  # row 0 = 1: inconsistent
-        x[p] = row[n]
+    for r, j in zip(work, pivots):
+        x[j] = r[n] if ring.p else Fraction(r[n], r[j])
     # pivot-only assignment solves the system when consistent; verify
     for r, b in zip(rows, rhs):
         acc = ring.zero
@@ -120,49 +163,19 @@ def hermite_form(rows):
 def integer_kernel(rows, n: int):
     """Saturated basis of {x in Z^n : rows @ x = 0}.
 
-    Column-reduces the stack [rows; I_n] with unimodular column operations;
-    the identity block below columns whose top part vanished is the kernel.
+    The rows of [rows^T | I_n] span the lattice of pairs (rows @ x, x); the
+    rows of its Hermite form whose left block vanished are (0, x) for x
+    running over a kernel basis.
     """
     k = len(rows)
-    cols = [
-        [rows[i][j] for i in range(k)] + [1 if t == j else 0 for t in range(n)]
-        for j in range(n)
-    ]
-    lead = 0
-    for pr in range(k):
-        while True:
-            nz = [c for c in range(lead, n) if cols[c][pr] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(cols[c][pr]))
-            c0 = nz[0]
-            for c in nz[1:]:
-                q = cols[c][pr] // cols[c0][pr]
-                if q:
-                    cols[c] = [a - q * b for a, b in zip(cols[c], cols[c0])]
-        nz = [c for c in range(lead, n) if cols[c][pr] != 0]
-        if nz:
-            cols[lead], cols[nz[0]] = cols[nz[0]], cols[lead]
-            lead += 1
-        if lead == n:
-            break
-    kernel = []
-    for c in range(lead, n):
-        if all(cols[c][i] == 0 for i in range(k)):
-            kernel.append(tuple(cols[c][k:]))
-    return kernel
+    stacked = [[r[j] for r in rows] + [int(t == j) for t in range(n)] for j in range(n)]
+    return [r[k:] for r in hermite_form(stacked) if not any(r[:k])]
 
 
 def saturate(rows, n: int):
-    """Canonical HNF basis of (Q-span of rows) intersected with Z^n."""
-    work = [r for r in rows if any(r)]
-    if not work:
-        return []
-    complement = integer_kernel(work, n)
-    if not complement:
-        # rows span the full space
-        return hermite_form([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    return hermite_form(integer_kernel(complement, n))
+    """Canonical HNF basis of (Q-span of rows) intersected with Z^n: the
+    kernel of the kernel, which integer_kernel returns in Hermite form."""
+    return integer_kernel(integer_kernel(rows, n), n)
 
 
 class Subspace:
@@ -226,21 +239,20 @@ class Subspace:
         v = list(vector)
         if len(v) != self.ambient:
             raise ValueError("vector length mismatch")
-        if self.ring.is_field:
-            ring = self.ring
-            for row in self.basis:
-                p = next(j for j in range(self.ambient) if not ring.is_zero(row[j]))
-                if not ring.is_zero(v[p]):
-                    f = v[p]
-                    v = [ring.sub(a, ring.mul(f, b)) for a, b in zip(v, row)]
-            return all(ring.is_zero(a) for a in v)
-        w = [Fraction(int(a)) for a in v]
+        p = self.ring.p
+        w = [a % p for a in v] if p else _numerators(v)[0]
         for row in self.basis:
-            p = next(j for j in range(self.ambient) if row[j] != 0)
-            if w[p] != 0:
-                f = w[p] / row[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return all(a == 0 for a in w)
+            b = row if p else _numerators(row)[0]
+            j = next(j for j, a in enumerate(b) if a)
+            c = w[j]
+            if c:
+                # w <- (b[j] * w - c * b) / gcd(b[j], c)
+                g = gcd(b[j], c)
+                f, c = b[j] // g, c // g
+                w = [f * a - c * x for a, x in zip(w, b)]
+                if p:
+                    w = [a % p for a in w]
+        return not any(w)
 
     def plus(self, other: "Subspace") -> "Subspace":
         if self.ring != other.ring or self.ambient != other.ambient:

@@ -1,13 +1,16 @@
 """Exact coefficient rings: integers, rationals, and prime fields.
 
-Scalars are plain Python objects (int for ZZ and GF(p), Fraction for QQ);
-the ring object routes arithmetic so that prime-field reduction happens in
-one place. No floating point is used anywhere.
+Scalars are plain Python objects (int for ZZ and GF(p), Fraction for QQ).
+The ring object parses, formats and combines single scalars; the helpers at
+the end turn vectors into integer numerators and back, so the algebra and
+linear-algebra layers compute on plain ints. No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import MalformedInput
 
@@ -71,10 +74,6 @@ class CoeffRing:
     def is_field(self) -> bool:
         return self.kind != self.INTEGERS
 
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == self.PRIME_FIELD else 0
-
     # --- element arithmetic ---
 
     def from_int(self, n: int):
@@ -88,40 +87,12 @@ class CoeffRing:
         c = a + b
         return c % self.p if self.kind == self.PRIME_FIELD else c
 
-    def sub(self, a, b):
-        c = a - b
-        return c % self.p if self.kind == self.PRIME_FIELD else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == self.PRIME_FIELD else -a
-
     def mul(self, a, b):
         c = a * b
         return c % self.p if self.kind == self.PRIME_FIELD else c
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def inv(self, a):
-        """Multiplicative inverse; fields only."""
-        if self.kind == self.RATIONALS:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
-        if self.kind == self.PRIME_FIELD:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero in prime field")
-            return pow(a, -1, self.p)
-        raise ZeroDivisionError("integers form no field; no general inverses")
-
-    def div(self, a, b):
-        """Exact division. Over ZZ requires divisibility."""
-        if self.kind == self.INTEGERS:
-            q, r = divmod(a, b)
-            if r != 0:
-                raise ZeroDivisionError(f"{a} not divisible by {b} over the integers")
-            return q
-        return self.mul(a, self.inv(b))
 
     # --- text encoding (exact values only) ---
 
@@ -163,3 +134,32 @@ QQ = CoeffRing(CoeffRing.RATIONALS)
 
 def GF(p: int) -> CoeffRing:
     return CoeffRing(CoeffRing.PRIME_FIELD, p)
+
+
+# --- vectors as integer numerators --------------------------------------
+# A vector over QQ is a list of integer numerators over one common
+# denominator; over ZZ or GF(p) it is a list of ints reduced once at the end.
+
+
+def _reduce(ring: CoeffRing, coords):
+    """Coordinates computed with plain operators, as ring elements."""
+    p = ring.p
+    return tuple([a % p for a in coords]) if p else tuple(coords)
+
+
+def _numerators(x):
+    """(integer numerators of x over a common denominator d, d)."""
+    ratios = [a.as_integer_ratio() for a in x]
+    d = lcm(*[e for _, e in ratios])
+    if d == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (d // e) for n, e in ratios], d
+
+
+def _from_numerators(ring: CoeffRing, acc, den: int):
+    """Ring elements from integer numerators over den (den is 1 except
+    over the rationals); one Fraction per nonzero rational coordinate."""
+    if ring.kind == CoeffRing.RATIONALS:
+        zero = ring.zero
+        return tuple([Fraction(s, den) if s else zero for s in acc])
+    return _reduce(ring, acc)

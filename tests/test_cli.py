@@ -114,6 +114,27 @@ def test_words_bounds_budget_exceeded():
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("args", [
+    ("words-analyze", "2,1", "--k", "0"),
+    ("words-analyze", "2,1", "--decreasing", "-1"),
+    ("words-bounds", "--d", "-1", "--k", "1", "--b", "2,3"),
+    ("words-bounds", "--d", "1", "--k", "1", "--b", "2,3", "--oracle", "0", "3"),
+    ("ore-rewrite", "FILE", "--head", "e12", "--indices", "e23",
+     "--exponents", "1,-1", "--k", "1"),
+    ("ore-nilpotency", "FILE", "--set", "e12", "--cap", "-1"),
+])
+def test_out_of_range_arguments_are_input_errors(args, tmp_path):
+    if "FILE" in args:
+        run_cli("examples", "upper3strict", "--dir", str(tmp_path))
+    path = str(tmp_path / "upper3strict.json")
+    res = run_cli(*[path if a == "FILE" else a for a in args])
+    assert res.returncode == 2
+    assert "input error:" in res.stderr
+    assert "Traceback" not in res.stderr
+    if "--cap" in args:
+        assert "--cap" in res.stderr
+
+
 # --- file-driven commands ---------------------------------------------------
 
 def test_radical_check_trace_form(upper2x2_file):

@@ -98,3 +98,60 @@ def test_subspace_operations():
     assert s.contains((QQ.one, QQ.from_int(5), QQ.zero))
     assert not s.contains((QQ.zero, QQ.zero, QQ.one))
     assert Subspace.zero(QQ, 3).is_zero
+
+
+def reference_rref(rows, p=None):
+    """Textbook Gauss-Jordan on Fractions (p is None) or on residues mod p."""
+    norm = Fraction if p is None else (lambda a: a % p)
+    work = [[norm(a) for a in r] for r in rows]
+    out = []
+    for j in range(len(work[0]) if work else 0):
+        piv = next((r for r in work if r[j]), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        inv = 1 / piv[j] if p is None else pow(piv[j], -1, p)
+        piv = [norm(a * inv) for a in piv]
+        work = [[norm(a - r[j] * b) for a, b in zip(r, piv)] for r in work]
+        out = [[norm(a - r[j] * b) for a, b in zip(r, piv)] for r in out]
+        out.append(piv)
+    return [tuple(r) for r in out]
+
+
+def entries(ring):
+    if ring == ZZ:
+        return st.integers(-4, 4)
+    if ring == QQ:
+        return st.fractions(-3, 3, max_denominator=4)
+    return st.integers(0, ring.p - 1)
+
+
+def rows_over(ring, n, max_rows):
+    row = st.lists(entries(ring), min_size=n, max_size=n)
+    return st.lists(row, min_size=1, max_size=max_rows)
+
+
+@given(st.data())
+def test_rref_matches_fraction_reference(data):
+    ring = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(rows_over(ring, n, max_rows=6))
+    red = rref(rows, ring)
+    assert red == reference_rref(rows, ring.p)
+    expected_type = int if ring.p else Fraction
+    assert all(type(a) is expected_type for r in red for a in r)
+
+
+@given(st.data())
+def test_contains_iff_span_keeps_dimension(data):
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(5)]))
+    rows = data.draw(small_int_rows if ring == ZZ else rows_over(ring, 3, 4))
+    V = Subspace.span(ring, 3, rows)
+    # half the draws are combinations of the rows, the rest anything
+    coeffs = data.draw(st.lists(entries(ring), min_size=len(rows), max_size=len(rows)))
+    v = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(3)]
+    if data.draw(st.booleans()):
+        v = data.draw(st.lists(entries(ring), min_size=3, max_size=3))
+    if ring.p:
+        v = [a % ring.p for a in v]
+    assert V.contains(v) == (V.plus(Subspace.span(ring, 3, [v])).dim == V.dim)
