@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import isqrt, lcm
 
 from . import _kernels as kernels
@@ -52,10 +52,10 @@ class Word:
     letters: tuple[int, ...]
 
     def __init__(self, letters):
-        letters = tuple(int(a) for a in letters)
+        letters = tuple(map(int, letters))
         if not letters:
             raise ValueError("words are nonempty")
-        if any(a < 0 for a in letters):
+        if min(letters) < 0:
             raise ValueError("letters are natural numbers")
         object.__setattr__(self, "letters", letters)
 
@@ -269,6 +269,12 @@ def _search_decreasing(word: Word, d: int, window_start: int,
     Cuts are pushed as far right as possible (first cut maximal, then the
     next, and so on), which keeps results reproducible. Memoized on
     (previous block, remaining depth).
+
+    Interval rule: with l the common-prefix length of letters[phi:] and
+    letters[plo:], block [phi, end) is strictly below block [plo, phi) iff
+    l < phi - plo, letters[phi + l] < letters[plo + l] and end > phi + l.
+    So a state scans l once, fails in O(l) when the letter test fails, and
+    otherwise the valid ends are the interval (phi + l, n - rem + 1].
     """
     n = len(word)
     if d == 0:
@@ -282,23 +288,31 @@ def _search_decreasing(word: Word, d: int, window_start: int,
         # lex-greatest tuple of cut indices finishing `rem` more blocks,
         # the next starting at phi and required to sit strictly below
         # letters[plo:phi]; None when impossible
-        if rem == 0:
-            return ()
-        if n - phi < rem:
+        last = n - rem + 1  # right-most end that leaves a letter per block
+        if phi >= last:
             return None
         if letter_bound is not None and letters[phi] >= letter_bound:
             return None
-        for end in range(n - (rem - 1), phi, -1):
-            if kernels.compare_ranges(letters, phi, end, plo, phi) == -1:
-                tail = best_tail(phi, end, rem - 1)
-                if tail is not None:
-                    return (end,) + tail
+        top = min(phi - plo, n - phi)
+        l = 0
+        while l < top and letters[phi + l] == letters[plo + l]:
+            l += 1
+        if l == top or letters[phi + l] > letters[plo + l]:
+            return None
+        if rem == 1:
+            return (n,)
+        for end in range(last, phi + l, -1):
+            tail = best_tail(phi, end, rem - 1)
+            if tail is not None:
+                return (end,) + tail
         return None
 
     try:
         for c0 in range(n - d, window_start - 1, -1):
             if letter_bound is not None and letters[c0] >= letter_bound:
                 continue
+            if d == 1:
+                return Factorization(word, (c0, n))
             for c1 in range(n - (d - 1), c0, -1):
                 tail = best_tail(c0, c1, d - 1)
                 if tail is not None:
@@ -453,14 +467,44 @@ def _witness_cuts(letters, level: int, b: BoundSequence, eps: Fraction,
 # --- empirical minimal-length oracle -----------------------------------
 
 
+def _oracle_candidates(n: int, cap: int, first: int, limit: int, bounds):
+    """Words of length n over 0..cap starting with `first`, in
+    lexicographic order, none of whose prefixes is pruned.
+
+    A prefix is pruned when its weight exceeds `limit` (appending a letter
+    c adds c + sum(min(x, c)) to the weight, so weight never falls and that
+    increment grows with c), or when it holds a run of letters <= m of
+    length >= b_m for some m < len(bounds) (no extension is bounded).
+    """
+    top = min(cap, len(bounds) - 1)
+    if n >= min(bounds[top + 1:], default=n + 1):
+        return  # for m in (cap, L) every word is one run of letters <= m
+    low = bounds[:top + 1]
+    alphabet = range(cap + 1)
+
+    def grow(prefix, w, runs, choices):
+        for c in choices:
+            wc = w + c + sum(min(x, c) for x in prefix)
+            if wc > limit:
+                break
+            # runs[m]: length of the run of letters <= m ending here
+            rc = tuple(r + 1 if c <= m else 0 for m, r in enumerate(runs))
+            if any(r >= bm for r, bm in zip(rc, low)):
+                continue
+            word = prefix + (c,)
+            if len(word) == n:
+                yield word
+            else:
+                yield from grow(word, wc, rc, alphabet)
+
+    yield from grow((), 0, (0,) * len(low), (first,))
+
+
 def _oracle_chunk_ok(args) -> bool:
     """Every valid word with the given first letter has the subword."""
     d, b, k, n, cap, first = args
-    if n == 1:
-        tuples = [(first,)]
-    else:
-        tuples = ((first,) + rest for rest in product(range(cap + 1), repeat=n - 1))
-    for tup in tuples:
+    limit = k * (n * (n + 1) // 2)
+    for tup in _oracle_candidates(n, cap, first, limit, b.prefix):
         w = Word(tup)
         if not is_k_valid(w, k):
             continue
@@ -480,12 +524,25 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     when no such n exists within max_n. Letters above k*C(n+1,2) cannot
     occur in a k-valid word and are excluded from the enumeration.
 
+    Each length is walked depth first under a fixed first letter. A
+    prefix is dropped once its weight exceeds k*C(n+1, 2), or once it
+    holds a run of letters <= m of length >= b_m for some m < L = the
+    length of b's prefix; the words left are checked in full. A length is
+    vacuously settled when the tail extends and b_{L-1} <= n (no word of
+    that length is bounded). Without the tail, a length whose letters
+    reach L raises InsufficientBoundData: (L, 0, ..., 0) is k-valid and
+    b cannot judge it. The budget counts the words before pruning.
+
     workers > 1 partitions the enumeration by first letter across
     processes, at most os.cpu_count() of them; the aggregate is
     order-independent.
     """
     if max_n < 1:
         raise ValueError("max_n is at least 1")
+    if d < 0:
+        raise ValueError("d is a natural number")
+    if k < 1:
+        raise ValueError("k is a positive integer")
     total = 0
     caps = {}
     for n in range(1, max_n + 1):
@@ -506,12 +563,16 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
             pool = None
     try:
         for n in range(1, max_n + 1):
+            if b.extend_tail and b.prefix[-1] <= n:
+                return n
+            if not b.extend_tail and caps[n] >= len(b.prefix):
+                raise InsufficientBoundData(len(b.prefix), len(b.prefix))
             chunks = [(d, b, k, n, caps[n], first) for first in range(caps[n] + 1)]
             if pool is not None and n >= 4:
-                results = list(pool.map(_oracle_chunk_ok, chunks))
+                ok = all(pool.map(_oracle_chunk_ok, chunks))
             else:
-                results = [_oracle_chunk_ok(c) for c in chunks]
-            if all(results):
+                ok = all(map(_oracle_chunk_ok, chunks))
+            if ok:
                 return n
         return None
     finally:

@@ -54,6 +54,13 @@ def test_words_analyze_decreasing():
     assert "decreasing.block2 = 1" in res.stdout
 
 
+def test_words_analyze_increasing_word_has_no_decreasing():
+    word = ",".join(map(str, range(200)))
+    res = run_cli("words-analyze", word, "--decreasing", "3")
+    assert res.returncode == 0
+    assert "decreasing = none" in res.stdout
+
+
 def test_words_analyze_parse_error_position():
     res = run_cli("words-analyze", "1,x,3")
     assert res.returncode == 2

@@ -4,9 +4,10 @@ factorizations, the bound recursion, and the witness construction."""
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orelab.errors import (
@@ -34,6 +35,16 @@ from orelab.words import (
 )
 
 words = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(tuple)
+
+
+# --- Word ---------------------------------------------------------------
+
+def test_word_validation():
+    assert Word((1.9, "2", 0)).letters == (1, 2, 0)
+    with pytest.raises(ValueError, match="words are nonempty"):
+        Word(())
+    with pytest.raises(ValueError, match="letters are natural numbers"):
+        Word((3, -1))
 
 
 # --- compare ------------------------------------------------------------
@@ -190,6 +201,9 @@ def test_find_d_decreasing_examples():
     f = find_d_decreasing((3, 2, 1), 2)
     assert f.prefix == (3,) and f.blocks == [(2,), (1,)] and f.suffix == ()
     assert find_d_decreasing((1, 1, 1, 1), 2) is None
+    # (1, 1), (1), (0) fails: a block that is a prefix of the one before
+    # it is incomparable, not smaller
+    assert find_d_decreasing((1, 1, 1, 0), 3) is None
     # d=1 always succeeds and the greedy keeps the last letter as the block
     f1 = find_d_decreasing((5, 0, 9), 1)
     assert f1.blocks == [(9,)]
@@ -232,6 +246,68 @@ def test_constrained_output_satisfies_predicate(u, d, eps, M):
     if f is not None:
         assert f.is_valid()
         assert f.satisfies_window(eps, M)
+
+
+def _end_by_end_search(letters, d, window_start, letter_bound):
+    """Reference cut tuple: compares the block at every candidate end."""
+    n = len(letters)
+    if d == 0:
+        return (n,)
+    if n - window_start < d:
+        return None
+
+    @lru_cache(maxsize=None)
+    def best_tail(plo, phi, rem):
+        if rem == 0:
+            return ()
+        if n - phi < rem:
+            return None
+        if letter_bound is not None and letters[phi] >= letter_bound:
+            return None
+        for end in range(n - (rem - 1), phi, -1):
+            if compare(letters[phi:end], letters[plo:phi]) is Ordering.LESS:
+                tail = best_tail(phi, end, rem - 1)
+                if tail is not None:
+                    return (end,) + tail
+        return None
+
+    for c0 in range(n - d, window_start - 1, -1):
+        if letter_bound is not None and letters[c0] >= letter_bound:
+            continue
+        for c1 in range(n - (d - 1), c0, -1):
+            tail = best_tail(c0, c1, d - 1)
+            if tail is not None:
+                return (c0, c1) + tail
+    return None
+
+
+search_words = st.sampled_from((1, 3, 6)).flatmap(
+    lambda top: st.lists(st.integers(0, top), min_size=1, max_size=30).map(tuple)
+)
+
+
+@given(search_words, st.integers(1, 4))
+def test_find_matches_end_by_end_search(u, d):
+    f = find_d_decreasing(u, d)
+    assert (None if f is None else f.cuts) == _end_by_end_search(u, d, 0, None)
+
+
+@given(search_words, st.integers(1, 4),
+       st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8),
+       st.integers(1, 7))
+def test_constrained_matches_end_by_end_search(u, d, eps, M):
+    f = find_d_decreasing_constrained(u, d, eps, M)
+    window_start = len(u) - int(eps * len(u))
+    assert (None if f is None else f.cuts) == _end_by_end_search(u, d, window_start, M)
+
+
+@pytest.mark.parametrize("letters, d", [
+    (tuple(range(400)), 2),
+    ((0,) * 300, 2),
+    ((0, 1) * 100, 3),
+])
+def test_find_d_decreasing_none_on_long_words(letters, d):
+    assert find_d_decreasing(letters, d) is None
 
 
 # --- bound recursion ------------------------------------------------------
@@ -358,6 +434,65 @@ def test_oracle_budget():
 
     with pytest.raises(BudgetExceeded):
         minimal_N_oracle(2, BoundSequence((2, 3)), 3, max_n=12, max_letter=9, budget=1000)
+
+
+def test_oracle_non_vacuous_value():
+    assert minimal_N_oracle(2, BoundSequence((2, 4, 6)), 1, 7, 3) == 6
+
+
+def test_oracle_rejects_bad_parameters():
+    b = BoundSequence((2, 3))
+    for d, k in ((-1, 1), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            minimal_N_oracle(d, b, k, max_n=3, max_letter=2)
+
+
+def test_oracle_checks_only_unpruned_words(monkeypatch):
+    import orelab.words as words_mod
+
+    seen = []
+    real = words_mod.is_k_valid
+
+    def recording(u, k):
+        seen.append(tuple(u))
+        return real(u, k)
+
+    monkeypatch.setattr(words_mod, "is_k_valid", recording)
+    b = BoundSequence((2, 4, 6))
+    assert minimal_N_oracle(2, b, 1, 7, 3) == 6
+    assert seen
+    for u in seen:
+        assert real(u, 1)
+        # no run of letters <= m of length b_m
+        for m, bm in enumerate(b.prefix):
+            assert all(max(u[s:s + bm]) > m for s in range(len(u) - bm + 1))
+
+
+def _oracle_bruteforce(d, b, k, max_n, max_letter):
+    for n in range(1, max_n + 1):
+        cap = min(max_letter, k * (n * (n + 1) // 2))
+        ok = True
+        for u in itertools.product(range(cap + 1), repeat=n):
+            # every k-valid word is judged: b may be unable to judge one
+            if is_k_valid(u, k) and is_b_bounded(u, b) and ok:
+                ok = next(_all_factorizations(Word(u), d), None) is not None
+        if ok:
+            return n
+    return None
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=5), st.booleans(),
+       st.integers(2, 3), st.integers(1, 2), st.integers(1, 5), st.integers(0, 4))
+def test_oracle_matches_bruteforce(prefix, tail, d, k, max_n, max_letter):
+    b = BoundSequence(prefix, extend_tail=tail)
+    try:
+        expected = _oracle_bruteforce(d, b, k, max_n, max_letter)
+    except InsufficientBoundData:
+        with pytest.raises(InsufficientBoundData):
+            minimal_N_oracle(d, b, k, max_n, max_letter)
+    else:
+        assert minimal_N_oracle(d, b, k, max_n, max_letter) == expected
 
 
 class _RecordingPool:
