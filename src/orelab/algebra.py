@@ -15,6 +15,7 @@ from math import lcm
 from .errors import (
     AssociativityViolation,
     BadUnit,
+    BudgetExceeded,
     LeibnizViolation,
     MalformedInput,
     NotNilpotent,
@@ -23,6 +24,10 @@ from .errors import (
 from .linalg import Subspace
 from .rings import GF, QQ, ZZ, CoeffRing, _from_numerators, _numerators, _reduce
 from .words import BoundSequence
+
+# nonzero prefixes the identity walk may visit; each support tuple keeps a
+# sparse product, so this also caps its memory
+DEFAULT_IDENTITY_BUDGET = 200_000
 
 
 class Algebra:
@@ -305,21 +310,56 @@ def find_unit(A: Algebra):
     return solve_linear(rows, rhs, A.ring)
 
 
+def _leibniz_terms(A: Algebra, rows, cols):
+    """The Leibniz residual D(e_i e_j) - D(e_i) e_j - e_i D(e_j), term by
+    term, over the algebra's integer rows.
+
+    rows[a] lists (b, x) and cols[b] lists (a, x), where x stands for the
+    entry D[a][b]: a value, or the index of an unknown. Yields
+    ((i, j, w), x, c): coordinate w of the residual at the pair (i, j)
+    gains c * x. A structure constant e_s e_t = ... + c e_k enters through
+    column k of D and rows s and t.
+    """
+    for s, row in enumerate(A._rows):
+        for t, consts in row:
+            for k, c in consts:
+                for u, x in cols[k]:
+                    yield (s, t, u), x, c  # D(e_s e_t), coordinate u
+                for u, x in rows[s]:
+                    yield (u, t, k), x, -c  # D[s][u] e_s e_t in D(e_u) e_t
+                for u, x in rows[t]:
+                    yield (s, u, k), x, -c  # D[t][u] e_s e_t in e_s D(e_u)
+
+
 def verify_leibniz(A: Algebra, matrix) -> Derivation:
     """Accept a matrix as a derivation iff Leibniz holds on all basis
-    pairs (sufficient by bilinearity). Raises LeibnizViolation otherwise."""
+    pairs (sufficient by bilinearity). Raises LeibnizViolation for the
+    first failing pair (i, j) otherwise.
+
+    The residual is summed for all pairs in one pass over the integer rows
+    of A and D; both are scaled by their own denominator, so every term
+    carries the same positive factor. Over GF(p) it is reduced mod p.
+    """
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != A.rank or any(len(r) != A.rank for r in rows):
         raise RankMismatch(f"derivation matrix must be {A.rank}x{A.rank}")
     D = Derivation(rows)
-    ring = A.ring
-    for i in range(A.rank):
-        for j in range(A.rank):
-            lhs = D.apply(ring, A.basis_product(i, j))
-            ei, ej = A.basis_element(i), A.basis_element(j)
-            rhs = A.add(A.mul(D.apply(ring, ei), ej), A.mul(ei, D.apply(ring, ej)))
-            if lhs != rhs:
-                raise LeibnizViolation(i, j, lhs, rhs)
+    cols = [[] for _ in range(A.rank)]
+    for a, row in enumerate(D._rows):
+        for b, x in row:
+            cols[b].append((a, x))
+    residual = {}
+    for key, x, c in _leibniz_terms(A, D._rows, cols):
+        residual[key] = residual.get(key, 0) + c * x
+    p = A.ring.p
+    failing = [key[:2] for key, v in residual.items() if (v % p if p else v)]
+    if failing:
+        i, j = min(failing)
+        ring = A.ring
+        ei, ej = A.basis_element(i), A.basis_element(j)
+        lhs = D.apply(ring, A.basis_product(i, j))
+        rhs = A.add(A.mul(D.apply(ring, ei), ej), A.mul(ei, D.apply(ring, ej)))
+        raise LeibnizViolation(i, j, lhs, rhs)
     return D
 
 
@@ -335,24 +375,16 @@ def derivation_space(A: Algebra) -> list[tuple[tuple, ...]]:
     from .linalg import nullspace
 
     r = A.rank
-    # one equation per coordinate a of D(e_i e_j) - D(e_i) e_j - e_i D(e_j),
-    # keyed (i, j, a); unknown a*r + b is D[a][b]. Each structure constant
-    # e_s e_t = ... + c e_k enters 3r equations. The constants are the
-    # algebra's integer rows (the table times one denominator), which
-    # leave the solution space unchanged.
+    # one equation per coordinate of the residual, keyed (i, j, w), in the
+    # unknowns a*r + b = D[a][b]. The constants are the algebra's integer
+    # rows (the table times one denominator), which leave the solution
+    # space unchanged.
+    unknown_rows = [tuple((b, a * r + b) for b in range(r)) for a in range(r)]
+    unknown_cols = [tuple((a, a * r + b) for a in range(r)) for b in range(r)]
     eqs = {}
-
-    def add(key, col, v):
+    for key, col, c in _leibniz_terms(A, unknown_rows, unknown_cols):
         eq = eqs.setdefault(key, {})
-        eq[col] = eq.get(col, 0) + v
-
-    for s, row in enumerate(A._rows):
-        for t, consts in row:
-            for k, c in consts:
-                for u in range(r):
-                    add((s, t, u), u * r + k, c)  # D(e_s e_t), coordinate u
-                    add((u, t, k), s * r + u, -c)  # D[s][u] e_s e_t in D(e_u) e_t
-                    add((s, u, k), t * r + u, -c)  # D[t][u] e_s e_t in e_s D(e_u)
+        eq[col] = eq.get(col, 0) + c
     rows = []
     for eq in eqs.values():
         dense = [0] * (r * r)
@@ -377,27 +409,85 @@ def inner_derivation(A: Algebra, u) -> Derivation:
     return Derivation(rows)
 
 
-def verify_identity(A: Algebra, ident: MultilinearIdentity):
-    """Check the identity on all rank^degree basis tuples (sufficient by
-    multilinearity). Returns (True, None) or (False, witness_tuple)."""
+def verify_identity(A: Algebra, ident: MultilinearIdentity,
+                    budget: int = DEFAULT_IDENTITY_BUDGET):
+    """Check the identity on all basis tuples (sufficient by
+    multilinearity). Returns (True, None), or (False, witness) with the
+    lexicographically first failing tuple.
+
+    The products P[i] = e_{i_1}...e_{i_d} are built on the integer rows by
+    a depth-first walk: each nonzero prefix product is extended by every
+    basis element at once, and a prefix is dropped as soon as its product
+    is zero. Every nonzero prefix visited counts against `budget`;
+    BudgetExceeded is raised when the count passes it.
+
+    The residual P[i] - sum c_sigma P[i o sigma] can be nonzero only on the
+    S_d-orbits of the support {i : P[i] != 0}; every other tuple vanishes
+    term by term. So each support tuple adds its product to the tuples of
+    its orbit that it reaches, and the orbits are checked in sorted order
+    until no later orbit can hold a smaller witness. The vanishing
+    identity holds iff the support is empty.
+    """
     d = ident.degree
-    idx = [0] * d
-    while True:
-        elems = [A.basis_element(i) for i in idx]
-        lhs = A.product(elems)
-        rhs = A.zero()
-        for perm, c in ident.coefficients:
-            term = A.product([elems[p - 1] for p in perm])
-            rhs = A.add(rhs, A.scale_int(c, term))
-        if lhs != rhs:
-            return False, tuple(idx)
-        t = d - 1
-        while t >= 0 and idx[t] == A.rank - 1:
-            idx[t] = 0
-            t -= 1
-        if t < 0:
-            return True, None
-        idx[t] += 1
+    p = A.ring.p
+    rows = A._rows
+    support = {}
+    visited = 0
+
+    def walk(prefix, vec):
+        # vec: sparse integer coordinates of the prefix product, scaled by
+        # A._den ** (len(prefix) - 1), the same factor for every tuple
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(
+                f"identity walk visits more than {budget} nonzero prefixes"
+            )
+        if len(prefix) == d:
+            support[prefix] = vec
+            return
+        children = {}
+        for k, a in vec.items():
+            for j, consts in rows[k]:
+                acc = children.setdefault(j, {})
+                for w, c in consts:
+                    acc[w] = acc.get(w, 0) + a * c
+        for j, acc in children.items():
+            if p:
+                acc = {w: v % p for w, v in acc.items() if v % p}
+            else:
+                acc = {w: v for w, v in acc.items() if v}
+            if acc:
+                walk(prefix + (j,), acc)
+
+    for i in range(A.rank):
+        walk((i,), {i: 1})
+
+    # R[i] gains -c P[t] where t = i o sigma, i.e. i = t o sigma^-1
+    moves = [(tuple(range(d)), 1)] + [
+        (tuple(perm.index(s + 1) for s in range(d)), -c)
+        for perm, c in ident.coefficients
+    ]
+    orbits = {}
+    for t in support:
+        orbits.setdefault(tuple(sorted(t)), []).append(t)
+    witness = None
+    for least in sorted(orbits):
+        if witness is not None and least > witness:
+            break  # every tuple of this orbit and the later ones is larger
+        residual = {}
+        for t in orbits[least]:
+            vec = support[t].items()
+            for inv, m in moves:
+                acc = residual.setdefault(tuple([t[q] for q in inv]), {})
+                for w, v in vec:
+                    acc[w] = acc.get(w, 0) + m * v
+        for i, acc in residual.items():
+            if (witness is None or i < witness) and any(
+                v % p if p else v for v in acc.values()
+            ):
+                witness = i
+    return witness is None, witness
 
 
 def span_power(A: Algebra, S: Subspace, m: int) -> Subspace:

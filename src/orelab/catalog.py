@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 from .algebra import Algebra, Derivation, MultilinearIdentity, verify_leibniz
 from .rings import GF, QQ, CoeffRing
 
@@ -11,6 +13,20 @@ def strictly_upper_3x3(ring: CoeffRing = QQ) -> Algebra:
     e12*e23 = e13 and all other products zero."""
     table = {(0, 2): {1: ring.one}}
     return Algebra(ring, 3, ("e12", "e13", "e23"), table)
+
+
+def full_matrix(n: int, ring: CoeffRing = QQ) -> Algebra:
+    """All n x n matrices: the matrix units e_ab in row-major order, with
+    e_ab * e_bc = e_ac and all other products zero."""
+    if n < 1:
+        raise ValueError("matrix size is positive")
+    sep = "" if n < 10 else "_"
+    names = tuple(f"e{a}{sep}{b}" for a in range(1, n + 1) for b in range(1, n + 1))
+    table = {
+        (a * n + b, b * n + c): {a * n + c: ring.one}
+        for a in range(n) for b in range(n) for c in range(n)
+    }
+    return Algebra(ring, n * n, names, table)
 
 
 def upper_2x2(ring: CoeffRing = QQ) -> Algebra:
@@ -93,3 +109,15 @@ def commutators_identity() -> MultilinearIdentity:
 def vanishing_identity(degree: int) -> MultilinearIdentity:
     """X1 ... Xd = 0 (empty right-hand side)."""
     return MultilinearIdentity(degree, {})
+
+
+def standard_identity(degree: int) -> MultilinearIdentity:
+    """The standard polynomial s_d = sum of sgn(sigma) X_sigma(1)...X_sigma(d)
+    = 0, written X1...Xd = -sum over sigma != id of sgn(sigma) X_sigma.
+    By Amitsur-Levitzki, the n x n matrices satisfy s_2n but not s_(2n-1)."""
+    coeffs = {}
+    for perm in permutations(range(1, degree + 1)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        coeffs[perm] = 1 if inversions % 2 else -1
+    del coeffs[tuple(range(1, degree + 1))]
+    return MultilinearIdentity(degree, coeffs)

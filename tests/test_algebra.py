@@ -1,13 +1,17 @@
 """Structure-constant algebras, derivations, identities, spans, and the
 definition-file format."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_conjugate, random_derivation, random_element
+from conftest import _invert, random_conjugate, random_derivation, random_element, strictly_upper
 
 from orelab.algebra import (
     Algebra,
@@ -29,8 +33,10 @@ from orelab.catalog import (
     charp_truncated,
     commutators_identity,
     formal_derivative,
+    full_matrix,
     split_pair,
     square_zero,
+    standard_identity,
     strictly_upper_3x3,
     truncated_polynomial,
     upper_2x2,
@@ -39,6 +45,7 @@ from orelab.catalog import (
 from orelab.errors import (
     AssociativityViolation,
     BadUnit,
+    BudgetExceeded,
     LeibnizViolation,
     MalformedInput,
     NotNilpotent,
@@ -326,6 +333,192 @@ def test_identity_holds_on_random_tuples(rng):
     for _ in range(1000):
         x, y = random_element(sp, rng), random_element(sp, rng)
         assert sp.mul(x, y) == sp.mul(y, x)
+
+
+def test_standard_identity_format():
+    assert standard_identity(2) == commutators_identity()
+    s3 = dict(standard_identity(3).coefficients)
+    # X1X2X3 = -(sum of sgn(sigma) X_sigma) over the five other permutations
+    assert s3 == {(1, 3, 2): 1, (2, 1, 3): 1, (3, 2, 1): 1, (2, 3, 1): -1, (3, 1, 2): -1}
+    assert len(standard_identity(4).coefficients) == 23
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, GF(2), GF(3)], ids=str)
+def test_amitsur_levitzki_m2(ring):
+    # M_n satisfies s_2n (Amitsur-Levitzki) and no identity of degree < 2n
+    M2 = full_matrix(2, ring)
+    assert verify_identity(M2, standard_identity(4)) == (True, None)
+    ok, witness = verify_identity(M2, standard_identity(3))
+    assert not ok
+    assert (ok, witness) == _ref_verify_identity(M2, standard_identity(3))
+
+
+def test_amitsur_levitzki_m3_s6():
+    M3 = full_matrix(3)
+    assert verify_identity(M3, standard_identity(6)) == (True, None)
+    # the per-tuple check stops early here: the first failing tuple is small
+    s4 = verify_identity(M3, standard_identity(4))
+    assert not s4[0] and s4 == _ref_verify_identity(M3, standard_identity(4))
+
+
+def test_vanishing_identity_on_strictly_upper_6x6():
+    A = strictly_upper(6)
+    assert verify_identity(A, vanishing_identity(6)) == (True, None)
+    # e12 e23 e34 e45 e56 = e16 is the first nonzero product of five units
+    assert verify_identity(A, vanishing_identity(5)) == (False, (0, 5, 9, 12, 14))
+
+
+def test_identity_walk_budget():
+    # strictly upper 5x5 has 10 + 10 + 5 + 1 nonzero products of 1..4 units
+    A = strictly_upper(5)
+    assert verify_identity(A, vanishing_identity(5), budget=26) == (True, None)
+    with pytest.raises(BudgetExceeded):
+        verify_identity(A, vanishing_identity(5), budget=25)
+    with pytest.raises(BudgetExceeded):
+        verify_identity(A, vanishing_identity(5), budget=3)
+
+
+# --- whole-algebra checks against the per-tuple and per-pair definitions ------
+
+def _ref_verify_identity(A, ident):
+    """Every basis tuple in lexicographic order, each permuted product
+    rebuilt with Algebra.mul."""
+    for idx in itertools.product(range(A.rank), repeat=ident.degree):
+        elems = [A.basis_element(i) for i in idx]
+        lhs = A.product(elems)
+        rhs = A.zero()
+        for perm, c in ident.coefficients:
+            rhs = A.add(rhs, A.scale_int(c, A.product([elems[p - 1] for p in perm])))
+        if lhs != rhs:
+            return False, idx
+    return True, None
+
+
+def _ref_leibniz_violation(A, matrix):
+    """The first basis pair where D(e_i e_j) != D(e_i) e_j + e_i D(e_j), as
+    (i, j, lhs, rhs), or None."""
+    D = Derivation(tuple(tuple(row) for row in matrix))
+    ring = A.ring
+    for i in range(A.rank):
+        for j in range(A.rank):
+            ei, ej = A.basis_element(i), A.basis_element(j)
+            lhs = D.apply(ring, A.basis_product(i, j))
+            rhs = A.add(A.mul(D.apply(ring, ei), ej), A.mul(ei, D.apply(ring, ej)))
+            if lhs != rhs:
+                return i, j, lhs, rhs
+    return None
+
+
+CHECK_RINGS = [QQ, ZZ, GF(2), GF(3), GF(5)]
+CHECK_BASES = [
+    strictly_upper_3x3,
+    upper_2x2,
+    partial(full_matrix, 2),
+    split_pair,
+    lambda ring: truncated_polynomial(ring, 3),
+    lambda ring: square_zero(2, ring),
+]
+
+
+def _unimodular_conjugate(A, rng):
+    """A in the basis f_j = sum_i P[i][j] e_i for a random integer P of
+    determinant 1, so the change of basis is exact over every ring."""
+    r = A.rank
+    L = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(r)] for i in range(r)]
+    U = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(r)] for i in range(r)]
+    P = [[sum(L[i][t] * U[t][j] for t in range(r)) for j in range(r)] for i in range(r)]
+    Pinv = _invert([[QQ.from_int(c) for c in row] for row in P], QQ)
+    Pinv = [[int(c) for c in row] for row in Pinv]  # determinant 1: integral
+    ring = A.ring
+    cols = [tuple(ring.from_int(P[i][j]) for i in range(r)) for j in range(r)]
+    table = {}
+    for i in range(r):
+        for j in range(r):
+            prod = A.mul(cols[i], cols[j])
+            new = [ring.zero] * r
+            for k in range(r):
+                for t in range(r):
+                    new[k] = ring.add(new[k], ring.mul(ring.from_int(Pinv[k][t]), prod[t]))
+            table[(i, j)] = dict(enumerate(new))
+    return Algebra(ring, r, None, table)
+
+
+@st.composite
+def check_algebras(draw):
+    ring = draw(st.sampled_from(CHECK_RINGS))
+    A = draw(st.sampled_from(CHECK_BASES))(ring)
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        if ring == QQ and draw(st.booleans()):
+            A = random_conjugate(A, rng)
+        else:
+            A = _unimodular_conjugate(A, rng)
+    return A
+
+
+@st.composite
+def identities(draw):
+    degree = draw(st.integers(1, 3))
+    others = list(itertools.permutations(range(1, degree + 1)))[1:]
+    kind = draw(st.sampled_from(["vanishing", "standard", "random"]))
+    if kind == "vanishing":
+        return vanishing_identity(degree)
+    if kind == "standard":
+        return standard_identity(degree)
+    coeffs = {p: draw(st.integers(-2, 2)) for p in others if draw(st.booleans())}
+    if others and draw(st.booleans()):
+        # coefficients summing to 1 let tuples with one repeated index pass,
+        # so the witness lies deeper inside an orbit
+        last = draw(st.sampled_from(others))
+        coeffs[last] = 1 - sum(c for p, c in coeffs.items() if p != last)
+    return MultilinearIdentity(degree, coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(check_algebras(), identities())
+def test_verify_identity_matches_per_tuple_check(A, ident):
+    assert verify_identity(A, ident) == _ref_verify_identity(A, ident)
+
+
+def test_identity_residual_reduced_mod_p():
+    # X1 X2 = -X2 X1 holds in a commutative algebra exactly when 2 = 0
+    anti = MultilinearIdentity(2, {(2, 1): -1})
+    assert verify_identity(truncated_polynomial(GF(2), 3), anti) == (True, None)
+    assert verify_identity(truncated_polynomial(QQ, 3), anti) == (False, (0, 0))
+
+
+@pytest.mark.parametrize("ring", CHECK_RINGS, ids=str)
+def test_verify_identity_matches_on_m2_degree_4(ring):
+    M2 = full_matrix(2, ring)
+    for ident in (standard_identity(4), vanishing_identity(4),
+                  MultilinearIdentity(4, {(2, 1, 4, 3): 1, (4, 3, 2, 1): -1})):
+        assert verify_identity(M2, ident) == _ref_verify_identity(M2, ident)
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_algebras(), st.sampled_from(["valid", "perturbed", "random"]),
+       st.integers(0, 2**32))
+def test_verify_leibniz_matches_per_pair_check(A, kind, seed):
+    rng = random.Random(seed)
+    ring, r = A.ring, A.rank
+    if kind == "random":
+        mat = [[ring.from_int(rng.randint(-3, 3)) for _ in range(r)] for _ in range(r)]
+    else:
+        if ring.is_field:
+            mat = [list(row) for row in random_derivation(A, rng).matrix]
+        else:
+            mat = [list(row) for row in inner_derivation(A, random_element(A, rng)).matrix]
+        if kind == "perturbed":
+            a, b = rng.randrange(r), rng.randrange(r)
+            mat[a][b] = ring.add(mat[a][b], ring.from_int(rng.choice((-2, -1, 1, 2))))
+    expected = _ref_leibniz_violation(A, mat)
+    if expected is None:
+        assert verify_leibniz(A, mat).matrix == tuple(tuple(row) for row in mat)
+    else:
+        with pytest.raises(LeibnizViolation) as exc:
+            verify_leibniz(A, mat)
+        v = exc.value
+        assert (v.i, v.j, v.lhs, v.rhs) == expected
 
 
 # --- spans, powers, nilpotency ----------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -96,6 +97,15 @@ def test_words_bounds_oracle_comparison():
     assert "oracle.le_bound = True" in res.stdout
 
 
+def test_words_bounds_oracle_prices_only_lengths_it_can_reach():
+    # b_1 = 3 settles length 3 without enumeration, so the lengths after it
+    # cost nothing
+    res = run_cli("words-bounds", "--d", "2", "--k", "3", "--eps", "1", "--b", "2,3",
+                  "--oracle", "12", "9")
+    assert res.returncode == 0
+    assert "oracle.minimal_N = 3" in res.stdout
+
+
 def test_words_bounds_insufficient_data():
     res = run_cli("words-bounds", "--d", "2", "--k", "1", "--eps", "1", "--b", "1",
                   "--no-tail")
@@ -116,7 +126,9 @@ def test_words_bounds_rejects_nonpositive_threads():
 
 
 def test_words_bounds_budget_exceeded():
-    res = run_cli("words-bounds", "--d", "2", "--k", "3", "--eps", "1", "--b", "2,3",
+    # no length up to 12 is vacuous for b = (20, 30), so all 10^12 words of
+    # length 12 are priced
+    res = run_cli("words-bounds", "--d", "2", "--k", "3", "--eps", "1", "--b", "20,30",
                   "--oracle", "12", "9")
     assert res.returncode == 3
 
@@ -196,6 +208,20 @@ def test_ore_nilpotency_bound_rejects_set_outside_hypothesis(tmp_path):
     assert "set element 2" in res.stderr
     assert "x^0 coefficient 1*e12" in res.stderr
     assert "not in span(T)" in res.stderr
+
+
+def test_ore_nilpotency_bound_identity_budget_exits_3(tmp_path, monkeypatch, capsys):
+    from orelab import algebra, cli, orepoly
+
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # strictly upper 3x3 has four nonzero products of one or two units
+    monkeypatch.setattr(orepoly, "verify_identity", partial(algebra.verify_identity, budget=3))
+    rc = cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
+                   "--set", "e12 + e23*x", "--bound", "vanish3",
+                   "--derivation", "inner_e12"])
+    assert rc == 3
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_ore_nilpotency_bound_below_minimal_is_a_verdict(tmp_path, monkeypatch, capsys):

@@ -436,6 +436,13 @@ def test_oracle_budget():
         minimal_N_oracle(2, BoundSequence((2, 3)), 3, max_n=12, max_letter=9, budget=1000)
 
 
+def test_oracle_prices_lengths_up_to_the_first_vacuous_one():
+    # length 3 is vacuous (b_1 = 3), so 4 + 10^2 + 10^3 words are priced,
+    # not the 10^12 of length 12
+    assert minimal_N_oracle(2, BoundSequence((2, 3)), 3, max_n=12, max_letter=9,
+                            budget=1104) == 3
+
+
 def test_oracle_non_vacuous_value():
     assert minimal_N_oracle(2, BoundSequence((2, 4, 6)), 1, 7, 3) == 6
 
