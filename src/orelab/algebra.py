@@ -409,59 +409,71 @@ def inner_derivation(A: Algebra, u) -> Derivation:
     return Derivation(rows)
 
 
-def verify_identity(A: Algebra, ident: MultilinearIdentity,
-                    budget: int = DEFAULT_IDENTITY_BUDGET):
-    """Check the identity on all basis tuples (sufficient by
-    multilinearity). Returns (True, None), or (False, witness) with the
-    lexicographically first failing tuple.
+def _identity_support(A: Algebra, d: int):
+    """Yield (i, P[i]) for every nonzero P[i] = e_{i_1}...e_{i_d}, in
+    lexicographic order of i.
 
-    The products P[i] = e_{i_1}...e_{i_d} are built on the integer rows by
-    a depth-first walk: each nonzero prefix product is extended by every
-    basis element at once, and a prefix is dropped as soon as its product
-    is zero. Every nonzero prefix visited counts against `budget`;
-    BudgetExceeded is raised when the count passes it.
-
-    The residual P[i] - sum c_sigma P[i o sigma] can be nonzero only on the
-    S_d-orbits of the support {i : P[i] != 0}; every other tuple vanishes
-    term by term. So each support tuple adds its product to the tuples of
-    its orbit that it reaches, and the orbits are checked in sorted order
-    until no later orbit can hold a smaller witness. The vanishing
-    identity holds iff the support is empty.
+    The products are built on the integer rows by a depth-first walk: each
+    nonzero prefix product is extended by every basis element at once, and
+    a prefix is dropped as soon as its product is zero (mod p over GF(p)).
+    P[i] is a sparse integer vector scaled by A._den ** (d - 1), the same
+    factor for every tuple. Every nonzero prefix visited counts against
+    DEFAULT_IDENTITY_BUDGET; BudgetExceeded is raised when the count passes
+    it.
     """
-    d = ident.degree
+    budget = DEFAULT_IDENTITY_BUDGET
     p = A.ring.p
     rows = A._rows
-    support = {}
     visited = 0
-
-    def walk(prefix, vec):
-        # vec: sparse integer coordinates of the prefix product, scaled by
-        # A._den ** (len(prefix) - 1), the same factor for every tuple
-        nonlocal visited
+    # popped smallest first, so the walk runs in lexicographic order
+    stack = [((i,), {i: 1}) for i in reversed(range(A.rank))]
+    while stack:
+        prefix, vec = stack.pop()
         visited += 1
         if visited > budget:
             raise BudgetExceeded(
                 f"identity walk visits more than {budget} nonzero prefixes"
             )
         if len(prefix) == d:
-            support[prefix] = vec
-            return
+            yield prefix, vec
+            continue
         children = {}
         for k, a in vec.items():
             for j, consts in rows[k]:
                 acc = children.setdefault(j, {})
                 for w, c in consts:
                     acc[w] = acc.get(w, 0) + a * c
-        for j, acc in children.items():
+        for j in sorted(children, reverse=True):
             if p:
-                acc = {w: v % p for w, v in acc.items() if v % p}
+                acc = {w: v % p for w, v in children[j].items() if v % p}
             else:
-                acc = {w: v for w, v in acc.items() if v}
+                acc = {w: v for w, v in children[j].items() if v}
             if acc:
-                walk(prefix + (j,), acc)
+                stack.append((prefix + (j,), acc))
 
-    for i in range(A.rank):
-        walk((i,), {i: 1})
+
+def verify_identity(A: Algebra, ident: MultilinearIdentity):
+    """Check the identity on all basis tuples (sufficient by
+    multilinearity). Returns (True, None), or (False, witness) with the
+    lexicographically first failing tuple.
+
+    The support {i : P[i] != 0} comes from `_identity_support`. Without a
+    right-hand side the residual is P[i] itself, so the identity holds iff
+    the support is empty and the witness is the first support tuple; the
+    walk stops there. Otherwise the residual P[i] - sum c_sigma P[i o sigma]
+    can be nonzero only on the S_d-orbits of the support (every other tuple
+    vanishes term by term), so the whole support is built, each support
+    tuple adds its product to the tuples of its orbit that it reaches, and
+    the orbits are checked in sorted order until no later orbit can hold a
+    smaller witness.
+    """
+    d = ident.degree
+    p = A.ring.p
+    if not ident.coefficients:
+        for i, _ in _identity_support(A, d):
+            return False, i
+        return True, None
+    support = dict(_identity_support(A, d))
 
     # R[i] gains -c P[t] where t = i o sigma, i.e. i = t o sigma^-1
     moves = [(tuple(range(d)), 1)] + [

@@ -8,11 +8,25 @@ from .algebra import Algebra, Derivation, MultilinearIdentity, verify_leibniz
 from .rings import GF, QQ, CoeffRing
 
 
+def strictly_upper(n: int, ring: CoeffRing = QQ) -> Algebra:
+    """Strictly upper-triangular n x n matrices: the matrix units e_ab with
+    a < b in row-major order, e_ab * e_bc = e_ac and all other products
+    zero."""
+    sep = "" if n < 10 else "_"
+    units = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    index = {u: i for i, u in enumerate(units)}
+    table = {
+        (index[a, b], index[b, c]): {index[a, c]: ring.one}
+        for a, b in units for c in range(b + 1, n)
+    }
+    names = tuple(f"e{a + 1}{sep}{b + 1}" for a, b in units)
+    return Algebra(ring, len(units), names, table)
+
+
 def strictly_upper_3x3(ring: CoeffRing = QQ) -> Algebra:
     """Strictly upper-triangular 3x3 matrices: basis e12, e13, e23 with
     e12*e23 = e13 and all other products zero."""
-    table = {(0, 2): {1: ring.one}}
-    return Algebra(ring, 3, ("e12", "e13", "e23"), table)
+    return strictly_upper(3, ring)
 
 
 def full_matrix(n: int, ring: CoeffRing = QQ) -> Algebra:

@@ -532,7 +532,7 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     that length is bounded). Without the tail, a length whose letters
     reach L raises InsufficientBoundData: (L, 0, ..., 0) is k-valid and
     b cannot judge it. The budget counts the words before pruning, over
-    the lengths up to the first vacuously settled one, that one included.
+    the lengths before the first vacuously settled one.
 
     workers > 1 partitions the enumeration by first letter across
     processes, at most os.cpu_count() of them; the aggregate is
@@ -547,10 +547,10 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     total = 0
     caps = {}
     for n in range(1, max_n + 1):
+        if b.extend_tail and b.prefix[-1] <= n:
+            break  # the search returns here without enumerating
         caps[n] = min(max_letter, k * (n * (n + 1) // 2))
         total += (caps[n] + 1) ** n
-        if b.extend_tail and b.prefix[-1] <= n:
-            break  # the search stops here at the latest
     if total > budget:
         raise BudgetExceeded(
             f"oracle would enumerate {total} words, budget is {budget}"

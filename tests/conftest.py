@@ -12,18 +12,6 @@ from orelab.linalg import rref
 from orelab.rings import QQ
 
 
-def strictly_upper(n: int, ring=QQ) -> Algebra:
-    """Strictly upper-triangular n x n matrices: the units e_ab with a < b
-    in row-major order, e_ab * e_bc = e_ac."""
-    units = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    index = {u: i for i, u in enumerate(units)}
-    table = {
-        (index[a, b], index[b, c]): {index[a, c]: ring.one}
-        for a, b in units for c in range(b + 1, n)
-    }
-    return Algebra(ring, len(units), [f"e{a + 1}{b + 1}" for a, b in units], table)
-
-
 def random_element(A: Algebra, rng: random.Random, span: int = 3):
     return tuple(A.ring.from_int(rng.randint(-span, span)) for _ in range(A.rank))
 

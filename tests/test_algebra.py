@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _invert, random_conjugate, random_derivation, random_element, strictly_upper
+from conftest import _invert, random_conjugate, random_derivation, random_element
 
 from orelab.algebra import (
     Algebra,
@@ -37,6 +37,7 @@ from orelab.catalog import (
     split_pair,
     square_zero,
     standard_identity,
+    strictly_upper,
     strictly_upper_3x3,
     truncated_polynomial,
     upper_2x2,
@@ -368,14 +369,41 @@ def test_vanishing_identity_on_strictly_upper_6x6():
     assert verify_identity(A, vanishing_identity(5)) == (False, (0, 5, 9, 12, 14))
 
 
-def test_identity_walk_budget():
+def test_identity_walk_budget(monkeypatch):
+    from orelab import algebra
+
     # strictly upper 5x5 has 10 + 10 + 5 + 1 nonzero products of 1..4 units
     A = strictly_upper(5)
-    assert verify_identity(A, vanishing_identity(5), budget=26) == (True, None)
+    monkeypatch.setattr(algebra, "DEFAULT_IDENTITY_BUDGET", 26)
+    assert verify_identity(A, vanishing_identity(5)) == (True, None)
+    for budget in (25, 3):
+        monkeypatch.setattr(algebra, "DEFAULT_IDENTITY_BUDGET", budget)
+        with pytest.raises(BudgetExceeded):
+            verify_identity(A, vanishing_identity(5))
+
+
+def test_vanishing_identity_stops_at_first_support_tuple(monkeypatch):
+    from orelab import algebra
+
+    # e11^12 = e11: the walk reaches (0,)*12 after 12 prefixes and stops,
+    # though M_3 has 3^13 nonzero products of 12 units
+    monkeypatch.setattr(algebra, "DEFAULT_IDENTITY_BUDGET", 12)
+    assert verify_identity(full_matrix(3), vanishing_identity(12)) == (False, (0,) * 12)
+
+
+def test_identity_with_right_side_walks_whole_support(monkeypatch):
+    from orelab import algebra
+
+    # with a right-hand side the witness needs every orbit of the support, so
+    # an identity that fails at a small tuple still walks the whole support
+    # and a support larger than the budget raises instead of returning it
+    swap = MultilinearIdentity(12, {(2, 1) + tuple(range(3, 13)): 1})
+    monkeypatch.setattr(algebra, "DEFAULT_IDENTITY_BUDGET", 1000)
     with pytest.raises(BudgetExceeded):
-        verify_identity(A, vanishing_identity(5), budget=25)
-    with pytest.raises(BudgetExceeded):
-        verify_identity(A, vanishing_identity(5), budget=3)
+        verify_identity(full_matrix(3), swap)
+    M2 = full_matrix(2)
+    swap4 = MultilinearIdentity(4, {(2, 1, 3, 4): 1})
+    assert verify_identity(M2, swap4) == _ref_verify_identity(M2, swap4)
 
 
 # --- whole-algebra checks against the per-tuple and per-pair definitions ------

@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-from functools import partial
 
 import pytest
 
@@ -104,6 +103,12 @@ def test_words_bounds_oracle_prices_only_lengths_it_can_reach():
                   "--oracle", "12", "9")
     assert res.returncode == 0
     assert "oracle.minimal_N = 3" in res.stdout
+    # b_1 = 7: lengths 1-6 price at 1,111,104 words, under the default
+    # budget, and length 7 is settled without enumeration
+    res = run_cli("words-bounds", "--d", "2", "--k", "3", "--eps", "1", "--b", "2,7",
+                  "--oracle", "12", "9")
+    assert res.returncode == 0
+    assert "oracle.minimal_N = 7" in res.stdout
 
 
 def test_words_bounds_insufficient_data():
@@ -211,12 +216,12 @@ def test_ore_nilpotency_bound_rejects_set_outside_hypothesis(tmp_path):
 
 
 def test_ore_nilpotency_bound_identity_budget_exits_3(tmp_path, monkeypatch, capsys):
-    from orelab import algebra, cli, orepoly
+    from orelab import algebra, cli
 
     assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()
     # strictly upper 3x3 has four nonzero products of one or two units
-    monkeypatch.setattr(orepoly, "verify_identity", partial(algebra.verify_identity, budget=3))
+    monkeypatch.setattr(algebra, "DEFAULT_IDENTITY_BUDGET", 3)
     rc = cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
                    "--set", "e12 + e23*x", "--bound", "vanish3",
                    "--derivation", "inner_e12"])

@@ -433,14 +433,18 @@ def test_oracle_budget():
     from orelab.errors import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        minimal_N_oracle(2, BoundSequence((2, 3)), 3, max_n=12, max_letter=9, budget=1000)
+        minimal_N_oracle(2, BoundSequence((2, 7)), 3, max_n=12, max_letter=9, budget=1000)
 
 
-def test_oracle_prices_lengths_up_to_the_first_vacuous_one():
-    # length 3 is vacuous (b_1 = 3), so 4 + 10^2 + 10^3 words are priced,
-    # not the 10^12 of length 12
-    assert minimal_N_oracle(2, BoundSequence((2, 3)), 3, max_n=12, max_letter=9,
-                            budget=1104) == 3
+def test_oracle_prices_lengths_before_the_first_vacuous_one():
+    from orelab.errors import BudgetExceeded
+
+    # length 3 is vacuous (b_1 = 3) and returned without enumeration, so
+    # 4 + 10^2 words are priced, not the 10^12 of length 12
+    b = BoundSequence((2, 3))
+    assert minimal_N_oracle(2, b, 3, max_n=12, max_letter=9, budget=104) == 3
+    with pytest.raises(BudgetExceeded):
+        minimal_N_oracle(2, b, 3, max_n=12, max_letter=9, budget=103)
 
 
 def test_oracle_non_vacuous_value():
