@@ -17,17 +17,42 @@ ruler a_i = 2^(v2(i)+1) - 2, whose level sets are the 2^j grids:
 
 The lighter valid candidate is kept; for 1-validity the margin is thin
 (fractions of a percent at lengths in the thousands), so the choice is
-verified exactly. Randomness comes from an optional reflection plus
-letter increments (always validity-preserving) paid from the exact
-weight slack.
+verified exactly.
+
+Randomness is an optional reflection plus letter increments, both of
+which keep the gap system valid. The process being sampled visits the
+positions in a uniformly random order and raises the letter a at a
+position by one with probability 3/4 when the exact weight slack still
+pays its cost t_{a+1} + 1 (t_v = #letters >= v), skipping it otherwise.
+Letters at n - 1 are never raised. Costs only rise and the slack only
+falls, so a skipped position could never be raised later, and the next
+payable position in a uniform order is uniform among the payable ones not
+yet visited. The sampler draws exactly that, in one of two regimes chosen
+by the slack:
+
+* budget-bound: when raising every letter below n - 1 would exceed the
+  budget, positions are grouped by letter, a group is picked with
+  probability proportional to its unvisited payable positions, and the
+  walk stops once no group is payable; each group's raised positions are
+  then a uniform subset of it;
+* bulk: when raising every such letter still fits, no position is ever
+  refused and order is irrelevant, so each gets an independent 3/4 coin,
+  all drawn in one call.
+
+The reflection commutes in distribution with the increments (it maps a
+uniform order to a uniform order), so it is applied last.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
+from operator import add
 from random import Random
+from typing import NamedTuple
 
 from . import _kernels as kernels
+from .errors import ConstructionFailed
 from .words import BoundSequence, Word
 
 
@@ -95,52 +120,105 @@ def _is_layered(letters: list[int]) -> bool:
     return kernels.b_bounded(letters, tuple(range(2, n + 2)), True) == 1
 
 
-@lru_cache(maxsize=32)
-def _base_word(n: int) -> tuple[int, ...]:
+def _base_word(n: int) -> list[int]:
     if n == 1:
-        return (0,)
+        return [0]
     cands = [w for w in (_capped_demoted(n), _tail_capped(n)) if _is_layered(w)]
     if not cands:
         raise ValueError(f"no base layered word of length {n}")
-    return tuple(min(cands, key=kernels.weight))
+    return min(cands, key=kernels.weight)
+
+
+class _Layout(NamedTuple):
+    """Per-length data of the base word that every sample reuses."""
+
+    letters: tuple[int, ...]
+    weight: int
+    full_weight: int  # weight with every letter below n - 1 raised by one
+    positions: array  # positions sorted by letter, stable
+    groups: tuple[tuple[int, int, int], ...]  # (start, size, cost) per letter below n - 1
+    top: int  # start in `positions` of the letters n - 1, never raised
+
+
+@lru_cache(maxsize=32)
+def _layout(n: int) -> _Layout:
+    base = _base_word(n)
+    positions = array("i", sorted(range(n), key=base.__getitem__))
+    groups = []
+    start = 0
+    while start < n and base[positions[start]] < n - 1:
+        a = base[positions[start]]
+        end = start + 1
+        while end < n and base[positions[end]] == a:
+            end += 1
+        # raising an a changes only t_{a+1}, the count of letters past this group
+        groups.append((start, end - start, n - end + 1))
+        start = end
+    return _Layout(
+        tuple(base),
+        kernels.weight(base),
+        kernels.weight([a + 1 if a < n - 1 else a for a in base]),
+        positions,
+        tuple(groups),
+        start,
+    )
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def random_valid_word(n: int, k: int, rng: Random) -> Word:
     """A random k-valid word of length n, bounded for b_m = m + 2.
 
-    Raises ValueError when even the base construction exceeds the weight
-    budget at this length (thin set of lengths near powers of two).
+    Raises ValueError for n < 1, and when even the base construction
+    exceeds the weight budget at this length (thin set of lengths near
+    powers of two).
     """
+    if n < 1:
+        raise ValueError(f"word length must be at least 1, got {n}")
+    lay = _layout(n)
     budget = k * (n * (n + 1) // 2)
-    base = list(_base_word(n))
-    if rng.random() < 0.5:
-        base.reverse()
-    w = kernels.weight(base)
+    w = lay.weight
     if w > budget:
         raise ValueError(
             f"no {k}-valid layered word of length {n}: base construction "
             f"weighs {w} against budget {budget}"
         )
-    # letter increments keep the gap system valid; each +1 on a letter of
-    # value a costs exactly t_{a+1} + 1 where t_v = #letters >= v
-    counts = [0] * (n + 2)
-    for a in base:
-        if a:
-            counts[min(a, n)] += 1
-    for v in range(n - 1, 0, -1):
-        counts[v] += counts[v + 1]
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in order:
-        a = base[i]
-        if a >= n - 1:
-            continue
-        cost = counts[a + 1] + 1
-        if w + cost > budget or rng.random() < 0.25:
-            continue
-        base[i] = a + 1
-        counts[a + 1] += 1
-        w += cost
-    word = Word(base)
-    assert kernels.weight(word.letters) == w
-    return word
+    if lay.full_weight <= budget:
+        # two random bits per position; the pair is nonzero with probability 3/4
+        bits = rng.getrandbits(2 * n)
+        coins = bytearray(f"{bits | bits >> 1:0{2 * n}b}"[-1::-2].encode().translate(_BITS))
+        for i in lay.positions[lay.top:]:
+            coins[i] = 0
+        letters = list(map(add, lay.letters, coins))
+        if kernels.weight(letters) > budget:
+            raise ConstructionFailed(f"bulk increments overran the budget {budget}")
+    else:
+        slack = budget - w
+        # [start, size, unvisited, cost, raised] per letter group
+        state = [[start, size, size, cost, 0] for start, size, cost in lay.groups]
+        live = [g for g in state if g[3] <= slack]
+        while live:
+            r = rng.randrange(sum(g[2] for g in live) << 2)
+            raise_it, r = r & 3, r >> 2
+            for g in live:
+                if r < g[2]:
+                    break
+                r -= g[2]
+            g[2] -= 1
+            if raise_it:
+                w += g[3]
+                slack -= g[3]
+                g[3] += 1
+                g[4] += 1
+            live = [g for g in live if g[2] and g[3] <= slack]
+        letters = list(lay.letters)
+        positions = lay.positions
+        for start, size, _, _, raised in state:
+            for j in rng.sample(range(size), raised):
+                letters[positions[start + j]] += 1
+        if kernels.weight(letters) != w:
+            raise ConstructionFailed(f"tracked weight {w} does not match the sampled word")
+    if rng.random() < 0.5:
+        letters.reverse()
+    return Word(letters)

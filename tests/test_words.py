@@ -3,8 +3,12 @@ factorizations, the bound recursion, and the witness construction."""
 
 import itertools
 import random
+import re
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from orelab.errors import (
     InsufficientBoundData,
     PreconditionViolated,
 )
-from orelab.wordgen import arithmetic_bounds, random_valid_word
+from orelab.wordgen import _base_word, arithmetic_bounds, random_valid_word
 from orelab.words import (
     BoundSequence,
     BoundsResult,
@@ -537,12 +541,154 @@ def test_oracle_workers_clamped_to_cpu_count(monkeypatch, cpus, expected_sizes):
 
 # --- generator sanity -------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 5, 20, 38, 64, 200])
+@pytest.mark.parametrize("n", [2, 5, 20, 38, 64, 200, 1172])
 @pytest.mark.parametrize("k", [1, 2])
 def test_random_valid_word_is_valid(n, k, rng):
     b = arithmetic_bounds(n)
     for _ in range(5):
         u = random_valid_word(n, k, rng)
         assert len(u) == n
+        assert max(u) == n - 1
         assert is_k_valid(u, k)
         assert is_b_bounded(u, b)
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_random_valid_word_rejects_short_lengths(n):
+    with pytest.raises(ValueError, match=f"length must be at least 1, got {n}"):
+        random_valid_word(n, 1, random.Random(0))
+
+
+@pytest.mark.parametrize("n", [257, 513, 1025])
+def test_random_valid_word_thin_lengths(n):
+    budget = n * (n + 1) // 2
+    with pytest.raises(ValueError, match=rf"weighs \d+ against budget {budget}$") as info:
+        random_valid_word(n, 1, random.Random(0))
+    assert int(re.search(r"weighs (\d+)", str(info.value)).group(1)) > budget
+
+
+def _raise_in_order(start, k, order, coin):
+    """The process random_valid_word draws from, for one visiting order:
+    a letter a < n - 1 is raised when the slack still pays its cost
+    t_{a+1} + 1 (t_v = #letters >= v) and then coin(i) is true."""
+    n = len(start)
+    budget = k * (n * (n + 1) // 2)
+    letters = list(start)
+    w = weight(letters)
+    counts = [0] * (n + 2)
+    for a in letters:
+        if a:
+            counts[min(a, n)] += 1
+    for v in range(n - 1, 0, -1):
+        counts[v] += counts[v + 1]
+    for i in order:
+        a = letters[i]
+        if a >= n - 1:
+            continue
+        cost = counts[a + 1] + 1
+        if w + cost > budget or not coin(i):
+            continue
+        letters[i] = a + 1
+        counts[a + 1] += 1
+        w += cost
+    return tuple(letters)
+
+
+def _shuffle_and_coin(base, k, rng):
+    """Reference sampler, run literally: optional reflection, a shuffled
+    visiting order and a 3/4 coin for each payable position."""
+    start = list(base)
+    if rng.random() < 0.5:
+        start.reverse()
+    order = list(range(len(start)))
+    rng.shuffle(order)
+    return _raise_in_order(start, k, order, lambda i: rng.random() >= 0.25)
+
+
+def _shuffle_and_coin_law(n, k):
+    """Exact law of _shuffle_and_coin: every reflection, order and coin
+    vector, a raise weighing 3 against 1 for a skip."""
+    law = Counter()
+    base = _base_word(n)
+    for start in (base, base[::-1]):
+        for order in itertools.permutations(range(n)):
+            for coins in itertools.product((True, False), repeat=n):
+                law[_raise_in_order(start, k, order, coins.__getitem__)] += 3 ** sum(coins)
+    total = sum(law.values())
+    return {u: c / total for u, c in law.items()}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("k", [1, 2])  # k = 1: the budget binds; k = 2: bulk coins
+def test_random_valid_word_matches_reference_law(n, k):
+    law = _shuffle_and_coin_law(n, k)
+    samples = 30_000
+    rng = random.Random(1000 * n + k)
+    seen = Counter(random_valid_word(n, k, rng).letters for _ in range(samples))
+    assert set(seen) <= set(law)
+    # the expected distance at this sample size is about 0.01-0.016
+    tv = sum(abs(seen[u] / samples - p) for u, p in law.items()) / 2
+    assert tv < 0.03
+
+
+def _raised(u, base):
+    """Per-position raises of a sample against the base word, undoing the
+    reflection; a position where base and reflection differ by >= 2 tells
+    the two apart."""
+    rev = base[::-1]
+    i = next(i for i in range(len(base)) if abs(base[i] - rev[i]) >= 2)
+    start = base if u[i] - base[i] in (0, 1) else rev
+    raised = [x - y for x, y in zip(u, start)]
+    assert set(raised) <= {0, 1}
+    return raised if start is base else raised[::-1]
+
+
+@pytest.mark.parametrize("n", [38, 64])
+@pytest.mark.parametrize("k", [1, 2])
+def test_random_valid_word_matches_reference_rates(n, k):
+    base = _base_word(n)
+    samples = 4000
+    stats = []
+    for seed, sample in ((1, lambda rng: random_valid_word(n, k, rng).letters),
+                         (2, lambda rng: _shuffle_and_coin(base, k, rng))):
+        rng = random.Random(seed)
+        rates = [0] * n
+        weights = []
+        for _ in range(samples):
+            u = sample(rng)
+            rates = list(map(add, rates, _raised(u, base)))
+            weights.append(weight(u))
+        stats.append(([r / samples for r in rates], sorted(weights)))
+    (rates, weights), (ref_rates, ref_weights) = stats
+    # a rate's standard error is at most 0.008 here; the bound is 6 of them
+    assert max(abs(x - y) for x, y in zip(rates, ref_rates)) < 0.05
+    # largest gap between the cumulative weight histograms (two-sample
+    # Kolmogorov-Smirnov); 0.05 is above its 0.1 % critical value, 0.044
+    gap = max(
+        abs(bisect_right(weights, v) - bisect_right(ref_weights, v))
+        for v in set(weights) | set(ref_weights)
+    )
+    assert gap / samples < 0.05
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def test_random_valid_word_draws_only_for_payable_letters():
+    n = 1172
+    for seed in range(5):
+        rng = _CountingRandom(seed)
+        random_valid_word(n, 1, rng)
+        # a shuffled visiting order alone takes n - 1 draws
+        assert 0 < rng.draws < n / 10
