@@ -282,10 +282,6 @@ class MultilinearIdentity:
         object.__setattr__(self, "coefficients", tuple(sorted(items)))
 
 
-def multiply(A: Algebra, x, y):
-    return A.mul(x, y)
-
-
 def find_unit(A: Algebra):
     """Coordinates of the two-sided identity element, or None.
 
@@ -502,44 +498,17 @@ def verify_identity(A: Algebra, ident: MultilinearIdentity):
     return witness is None, witness
 
 
-def span_power(A: Algebra, S: Subspace, m: int) -> Subspace:
-    """Canonical basis of the span of all m-fold products of S."""
-    if m < 1:
-        raise ValueError("power is positive")
-    current = S
-    for _ in range(m - 1):
-        if current.is_zero:
-            return current
-        products = [
-            A.mul(x, y) for x in current.basis for y in S.basis
-        ]
-        current = A.span(products)
-    return current
-
-
-def generated_subalgebra(A: Algebra, S: Subspace) -> Subspace:
-    """Span of all products of one or more S-elements."""
-    total = S
-    power = S
-    while True:
-        power = A.span([A.mul(x, y) for x in power.basis for y in S.basis])
-        new_total = total.plus(power)
-        if new_total == total:
-            return total
-        total = new_total
-
-
 def nilpotency_index(A: Algebra, S: Subspace) -> int | None:
     """Least b with S^b = 0, or None when S is not nilpotent.
 
-    A nilpotent subalgebra of dimension q has index at most q + 1, so the
-    search stops at dim(generated subalgebra) + 1.
+    One walk S^b = span(S^(b-1) S) for b = 2 .. rank + 1. S lies in the
+    subalgebra B it generates; if S is nilpotent, so is B, and a nilpotent
+    B has B^(dim B + 1) = 0 with dim B <= rank, so S^(rank+1) = 0.
     """
     if S.is_zero:
         return 1
-    limit = generated_subalgebra(A, S).dim + 1
     current = S
-    for b in range(2, limit + 1):
+    for b in range(2, A.rank + 2):
         current = A.span([A.mul(x, y) for x in current.basis for y in S.basis])
         if current.is_zero:
             return b
@@ -689,6 +658,36 @@ def parse_algebra_document(doc: dict):
             raise MalformedInput(str(exc), field=field) from None
 
     return A, derivations, identities
+
+
+def algebra_to_document(A: Algebra, derivations=None, identities=None) -> dict:
+    """The document that parse_algebra_document reads back as A with the
+    named derivations and identities."""
+    ring = A.ring
+    fmt = ring.fmt
+    doc = {
+        "coeff_ring": {"prime": ring.p} if ring.p else ring.kind,
+        "rank": A.rank,
+        "basis_names": list(A.basis_names),
+        "structure_constants": [
+            [i, j, k, fmt(c)] for (i, j), row in sorted(A.table.items())
+            for k, c in sorted(row.items())
+        ],
+    }
+    if A.unit is not None:
+        doc["unit"] = A.unit
+    if derivations:
+        doc["derivations"] = {
+            name: [[fmt(c) for c in row] for row in D.matrix]
+            for name, D in derivations.items()
+        }
+    if identities:
+        doc["identities"] = {
+            name: {"degree": ident.degree,
+                   "terms": [{"perm": list(perm), "coeff": c} for perm, c in ident.coefficients]}
+            for name, ident in identities.items()
+        }
+    return doc
 
 
 def load_algebra(path_or_text):

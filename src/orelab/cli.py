@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Algebra, Derivation, load_algebra
+from . import catalog
+from .algebra import Algebra, Derivation, algebra_to_document, inner_derivation, load_algebra
 from .errors import (
     BudgetExceeded,
     FactorialCapExceeded,
@@ -450,47 +451,12 @@ def cmd_radical_check(args) -> int:
 # --- bundled examples ---------------------------------------------------
 
 
-def _charp_document(p: int) -> dict:
-    names = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, p)]
-    sc = []
-    for i in range(p):
-        for j in range(p):
-            if i + j < p:
-                sc.append([i, j, i + j, "1"])
-    ddt = [["0"] * p for _ in range(p)]
-    for j in range(1, p):
-        ddt[j - 1][j] = str(j)
-    return {
-        "coeff_ring": {"prime": p},
-        "rank": p,
-        "basis_names": names,
-        "structure_constants": sc,
-        "unit": 0,
-        "derivations": {"ddt": ddt},
-    }
-
-
-def _upper3strict_document() -> dict:
-    return {
-        "coeff_ring": "rationals",
-        "rank": 3,
-        "basis_names": ["e12", "e13", "e23"],
-        "structure_constants": [[0, 2, 1, "1"]],
-        "derivations": {
-            # inner derivation by e12: e23 -> e13, else 0
-            "inner_e12": [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
-        },
-        "identities": {"vanish3": {"degree": 3, "terms": []}},
-    }
-
-
-def _squarezero_document() -> dict:
-    return {
-        "coeff_ring": "rationals",
-        "rank": 1,
-        "basis_names": ["z"],
-        "structure_constants": [],
-    }
+def _write_example(rep, outdir: Path, filename: str, doc: dict):
+    """Write the example document and load it back from the file."""
+    path = outdir / filename
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    rep.add("file", str(path))
+    return load_algebra(path.read_text())
 
 
 def cmd_examples(args) -> int:
@@ -504,11 +470,9 @@ def cmd_examples(args) -> int:
         raise CliInputError(f"cannot create {outdir}: {exc}") from None
 
     if name == "charp":
-        doc = _charp_document(args.p)
-        path = outdir / f"charp_{args.p}.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        rep.add("file", str(path))
-        A, derivations, _ = load_algebra(path.read_text())
+        A, ddt = catalog.charp_truncated(args.p)
+        doc = algebra_to_document(A, {"ddt": ddt})
+        A, derivations, _ = _write_example(rep, outdir, f"charp_{args.p}.json", doc)
         delta = derivations["ddt"]
         t = A.basis_element(1)
         N = A.span([A.basis_element(i) for i in range(1, A.rank)])
@@ -527,11 +491,10 @@ def cmd_examples(args) -> int:
         return 0 if expected else VERDICT_MISMATCH
 
     if name == "upper3strict":
-        doc = _upper3strict_document()
-        path = outdir / "upper3strict.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        rep.add("file", str(path))
-        A, derivations, identities = load_algebra(path.read_text())
+        A = catalog.strictly_upper_3x3()
+        doc = algebra_to_document(A, {"inner_e12": inner_derivation(A, A.basis_element(0))},
+                                  {"vanish3": catalog.vanishing_identity(3)})
+        A, derivations, identities = _write_example(rep, outdir, "upper3strict.json", doc)
         delta = derivations["inner_e12"]
         S = _parse_set(A, "e12 + e23*x")
         result = minimal_nilpotency(A, delta, S, 6)
@@ -546,11 +509,9 @@ def cmd_examples(args) -> int:
         return 0 if expected else VERDICT_MISMATCH
 
     if name == "squarezero":
-        doc = _squarezero_document()
-        path = outdir / "squarezero.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        rep.add("file", str(path))
-        A, _, _ = load_algebra(path.read_text())
+        doc = algebra_to_document(catalog.square_zero(1))
+        doc["basis_names"] = ["z"]
+        A, _, _ = _write_example(rep, outdir, "squarezero.json", doc)
         S = _parse_set(A, "z*x")
         result = minimal_nilpotency(A, _zero_derivation(A), S, 4)
         rep.add("set", "z*x")

@@ -9,12 +9,17 @@ nilpotency pipeline bounds powers of finite polynomial sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb
 
 from .algebra import Algebra, Derivation, MultilinearIdentity, b_sequence, verify_identity
 from .errors import BudgetExceeded, ExponentTooLarge, IdentityFails
 from .linalg import Subspace
 from .words import Word, compute_bounds
+
+# largest span dimension a power of a polynomial set may reach before the
+# next power is formed; its graded coordinate space may be 8 times wider
+DEFAULT_SPAN_CAP = 4096
 
 
 class DiffPoly:
@@ -53,9 +58,6 @@ class DiffPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int):
-        return self.coeffs[i] if i < len(self.coeffs) else None
-
     def __eq__(self, other):
         return isinstance(other, DiffPoly) and self.coeffs == other.coeffs
 
@@ -92,10 +94,6 @@ def dp_add(A: Algebra, f: DiffPoly, g: DiffPoly) -> DiffPoly:
         b = g.coeffs[i] if i < len(g.coeffs) else z
         out.append(A.add(a, b))
     return DiffPoly(A, out)
-
-
-def dp_scale_int(A: Algebra, m: int, f: DiffPoly) -> DiffPoly:
-    return DiffPoly(A, [A.scale_int(m, c) for c in f.coeffs])
 
 
 def commute_xd(A: Algebra, delta: Derivation, d: int, a):
@@ -286,47 +284,44 @@ def _poly_vector(A: Algebra, f: DiffPoly, deg_cap: int):
     return vec
 
 
-def set_power_dimension(A: Algebra, delta: Derivation, S, m: int,
-                        dim_cap: int = 4096) -> int:
-    """Dimension of the linear span of all m-fold products of S.
+def _power_dims(A: Algebra, delta: Derivation, S):
+    """dim span(S^m) for m = 1, 2, ..., stopping after the first 0.
 
-    Computed iteratively: span(S^m) = span(span(S^(m-1)) * S). The
-    x-degree is bounded by m * max degree, so vectors live in a fixed
-    graded coordinate block. dim_cap bounds the tracked dimension.
+    One walk: span(S^m) = span(span(S^(m-1)) * S). Power m has x-degree at
+    most m * (max degree of S), so each power gets its own graded
+    coordinate block.
     """
+    S = list(S)
+    maxdeg = max((f.degree for f in S if not f.is_zero), default=0)
+    r = A.rank
+    polys, current = S, None
+    for m in count(1):
+        deg_cap = maxdeg * m
+        ambient = (deg_cap + 1) * r
+        if ambient > DEFAULT_SPAN_CAP * 8:
+            raise BudgetExceeded(
+                f"graded coordinate space of dimension {ambient} exceeds the budget"
+            )
+        if current is not None:
+            if current.dim > DEFAULT_SPAN_CAP:
+                raise BudgetExceeded(
+                    f"span dimension {current.dim} exceeds cap {DEFAULT_SPAN_CAP}"
+                )
+            prev = [DiffPoly(A, [tuple(row[i:i + r]) for i in range(0, len(row), r)])
+                    for row in current.basis]
+            polys = [ore_multiply(A, delta, f, g) for f in prev for g in S]
+        current = Subspace.span(A.ring, ambient, [_poly_vector(A, f, deg_cap) for f in polys])
+        yield current.dim
+        if current.is_zero:
+            return
+
+
+def set_power_dimension(A: Algebra, delta: Derivation, S, m: int) -> int:
+    """Dimension of the linear span of all m-fold products of S (0 once a
+    lower power has vanished)."""
     if m < 1:
         raise ValueError("power is positive")
-    S = list(S)
-    if not S:
-        return 0
-    maxdeg = max((f.degree for f in S if not f.is_zero), default=0)
-    deg_cap = max(maxdeg, 0) * m
-    ambient = (deg_cap + 1) * A.rank
-    if ambient > dim_cap * 8:
-        raise BudgetExceeded(
-            f"graded coordinate space of dimension {ambient} exceeds the budget"
-        )
-
-    def span_of(polys):
-        return Subspace.span(A.ring, ambient, [_poly_vector(A, f, deg_cap) for f in polys])
-
-    def unvector(vec):
-        coeffs = [tuple(vec[i * A.rank:(i + 1) * A.rank]) for i in range(deg_cap + 1)]
-        return DiffPoly(A, coeffs)
-
-    current = span_of(S)
-    for _ in range(m - 1):
-        if current.is_zero:
-            return 0
-        if current.dim > dim_cap:
-            raise BudgetExceeded(f"span dimension {current.dim} exceeds cap {dim_cap}")
-        products = []
-        for row in current.basis:
-            f = unvector(row)
-            for g in S:
-                products.append(ore_multiply(A, delta, f, g))
-        current = span_of(products)
-    return current.dim
+    return next(islice(_power_dims(A, delta, S), m - 1, None), 0)
 
 
 @dataclass(frozen=True)
@@ -353,17 +348,14 @@ class NilpotencyReport:
 def minimal_nilpotency(A: Algebra, delta: Derivation, S, cap: int,
                        theorem_bound_value: int | None = None) -> NilpotencyReport:
     """Least N <= cap with every (N+1)-fold product of S zero."""
-    dims = []
-    for m in range(1, cap + 2):
-        dim = set_power_dimension(A, delta, S, m)
-        dims.append(dim)
-        if dim == 0:
-            return NilpotencyReport(m - 1, theorem_bound_value, tuple(dims))
-    return NilpotencyReport(None, theorem_bound_value, tuple(dims), cap_exceeded=True)
+    dims = tuple(dim for _, dim in zip(range(cap + 1), _power_dims(A, delta, S)))
+    if dims and dims[-1] == 0:
+        return NilpotencyReport(len(dims) - 1, theorem_bound_value, dims)
+    return NilpotencyReport(None, theorem_bound_value, dims, cap_exceeded=True)
 
 
 def theorem_bound(A: Algebra, delta: Derivation, T, k: int,
-                  ident: MultilinearIdentity, L: int | None = None) -> int:
+                  ident: MultilinearIdentity) -> int:
     """Guaranteed nilpotency bound for sets S inside T + Tx + ... + Tx^k.
 
     Needs the identity to hold and every span(T_n) nilpotent; returns the
@@ -372,6 +364,5 @@ def theorem_bound(A: Algebra, delta: Derivation, T, k: int,
     ok, witness = verify_identity(A, ident)
     if not ok:
         raise IdentityFails(witness)
-    bounds_prefix_levels = L if L is not None else 0
-    b = b_sequence(A, delta, T, bounds_prefix_levels)
+    b = b_sequence(A, delta, T, 0)
     return compute_bounds(ident.degree, b, k, 1).N

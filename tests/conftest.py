@@ -1,9 +1,13 @@
-"""Shared helpers: random elements, random Leibniz-valid derivations, and
-random exact basis changes of the catalog algebras."""
+"""Shared helpers: random elements, random Leibniz-valid derivations,
+random exact basis changes of the catalog algebras, and CLI subprocesses."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,39 @@ def random_conjugate(A: Algebra, rng: random.Random) -> Algebra:
             if row:
                 table[(i, j)] = row
     return Algebra(QQ, r, None, table)
+
+
+# upper-triangular 2x2 matrices with the inner derivation by e11
+UPPER2X2 = {
+    "coeff_ring": "rationals",
+    "rank": 3,
+    "basis_names": ["e11", "e12", "e22"],
+    "structure_constants": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1"], [2, 2, 2, "1"]],
+    "derivations": {"inner_e11": [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]},
+}
+
+
+def truncated_ideal(n: int, ring=QQ) -> Algebra:
+    """t*ring[t]/(t^n): basis t, ..., t^(n-1), so rank n - 1 and nilpotent
+    of index exactly n."""
+    table = {
+        (i, j): {i + j + 1: ring.one}
+        for i in range(n - 1) for j in range(n - 1) if i + j + 2 < n
+    }
+    names = tuple("t" if i == 1 else f"t^{i}" for i in range(1, n))
+    return Algebra(ring, n - 1, names, table)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_orelab(*args, cwd=None, timeout=120):
+    """`python -m orelab args` in a subprocess that imports this checkout's
+    src/ (pytest's own pythonpath setting does not reach subprocesses)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "orelab", *args], capture_output=True,
+                          text=True, cwd=cwd, timeout=timeout, env=env)
 
 
 @pytest.fixture

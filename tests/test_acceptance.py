@@ -12,11 +12,9 @@ configurations.
 import itertools
 import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
-from conftest import random_conjugate, random_derivation, random_element
+from conftest import random_conjugate, random_derivation, random_element, run_orelab
 
 from orelab.algebra import b_sequence, inner_derivation, verify_leibniz
 from orelab.catalog import (
@@ -317,10 +315,7 @@ CLI_RUNS = [
 
 def test_criterion_11_cli_determinism(tmp_path):
     def run(args):
-        res = subprocess.run(
-            [sys.executable, "-m", "orelab", *args],
-            capture_output=True, text=True, timeout=300,
-        )
+        res = run_orelab(*args, timeout=300)
         return res.returncode, res.stdout
 
     runs = 0

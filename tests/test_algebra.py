@@ -11,20 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _invert, random_conjugate, random_derivation, random_element
+from conftest import (
+    UPPER2X2,
+    _invert,
+    random_conjugate,
+    random_derivation,
+    random_element,
+    truncated_ideal,
+)
 
 from orelab.algebra import (
     Algebra,
     Derivation,
     MultilinearIdentity,
+    algebra_to_document,
     b_sequence,
     derivation_space,
     find_unit,
     inner_derivation,
     load_algebra,
-    multiply,
     nilpotency_index,
-    span_power,
+    parse_algebra_document,
     unitalize,
     verify_identity,
     verify_leibniz,
@@ -34,6 +41,7 @@ from orelab.catalog import (
     commutators_identity,
     formal_derivative,
     full_matrix,
+    scaling_derivation,
     split_pair,
     square_zero,
     standard_identity,
@@ -101,7 +109,7 @@ def test_unit_accepted_and_found():
 def test_multiply_with_unit_and_mismatch():
     A = truncated_polynomial(QQ, 3)
     x = A.element((QQ.from_int(3), QQ.from_int(1), QQ.from_int(-2)))
-    assert multiply(A, A.basis_element(0), x) == x
+    assert A.mul(A.basis_element(0), x) == x
     with pytest.raises(RankMismatch):
         A.mul(x, (QQ.one,))
 
@@ -551,19 +559,6 @@ def test_verify_leibniz_matches_per_pair_check(A, kind, seed):
 
 # --- spans, powers, nilpotency ----------------------------------------------
 
-def test_span_power_examples():
-    A = strictly_upper_3x3()
-    S = A.span([A.basis_element(i) for i in range(3)])
-    assert span_power(A, S, 1) == S
-    P2 = span_power(A, S, 2)
-    assert P2.dim == 1 and P2.contains(A.basis_element(1))
-    assert span_power(A, S, 3).is_zero
-
-    sq = square_zero(2)
-    full = sq.span([sq.basis_element(0), sq.basis_element(1)])
-    assert span_power(sq, full, 2).is_zero
-
-
 def test_nilpotency_index_examples():
     A = strictly_upper_3x3()
     S = A.span([A.basis_element(i) for i in range(3)])
@@ -572,6 +567,23 @@ def test_nilpotency_index_examples():
     assert nilpotency_index(sq, sq.span([sq.basis_element(0), sq.basis_element(1)])) == 2
     T = truncated_polynomial(GF(3), 3)
     assert nilpotency_index(T, T.span([T.basis_element(0)])) is None
+
+
+def test_nilpotency_index_walks_to_rank_plus_one_when_powers_cycle():
+    # (p - q)^2 = p + q and (p + q)(p - q) = p - q: the powers alternate
+    # and never vanish, so the walk runs to its rank + 1 limit
+    A = split_pair()
+    p, q = A.basis_element(0), A.basis_element(1)
+    d, s = A.sub(p, q), A.add(p, q)
+    assert A.mul(d, d) == s and A.mul(s, d) == d
+    assert nilpotency_index(A, A.span([d])) is None
+
+
+def test_nilpotency_index_reaches_rank_plus_one():
+    # t in t*QQ[t]/(t^n) has index n = rank + 1, the largest the walk allows
+    for n in range(2, 7):
+        A = truncated_ideal(n)
+        assert nilpotency_index(A, A.span([A.basis_element(0)])) == A.rank + 1 == n
 
 
 def test_nilpotency_agrees_with_naive_products(rng):
@@ -680,6 +692,34 @@ def test_load_round_trip():
     assert set(ders) == {"inner_e12"} and set(idents) == {"vanish3"}
     ok, _ = verify_identity(A, idents["vanish3"])
     assert ok
+
+
+def test_document_dump_round_trip():
+    # load -> dump -> load over the catalog algebras and the upper 2x2
+    # document: the reloaded objects equal the originals and dump the same
+    U = strictly_upper_3x3()
+    T = truncated_polynomial(QQ, 3)
+    cases = [
+        (*charp_truncated(3), None),
+        (U, inner_derivation(U, U.basis_element(0)), vanishing_identity(3)),
+        (T, scaling_derivation(T, 3, Fraction(-1, 2)), commutators_identity()),
+        (full_matrix(2), None, standard_identity(4)),
+        (strictly_upper(4, ZZ), None, vanishing_identity(4)),
+        (upper_2x2(GF(7)), None, None),
+        (square_zero(2), None, None),
+        (split_pair(), None, commutators_identity()),
+    ]
+    cases = [
+        (A, {} if D is None else {"D": D}, {} if ident is None else {"I": ident}) for A, D, ident in cases
+    ]
+    cases.append(parse_algebra_document(UPPER2X2))
+    for A, ders, idents in cases:
+        doc = algebra_to_document(A, ders, idents)
+        B, ders2, idents2 = load_algebra(json.dumps(doc))
+        assert (B.ring, B.rank, B.basis_names, B.table, B.unit) == \
+            (A.ring, A.rank, A.basis_names, A.table, A.unit)
+        assert ders2 == ders and idents2 == idents
+        assert algebra_to_document(B, ders2, idents2) == doc
 
 
 def test_load_rational_and_prime_values():

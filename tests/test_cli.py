@@ -1,26 +1,10 @@
 """CLI surface: parsing, reports, exit codes, determinism."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
-CLI = [sys.executable, "-m", "orelab"]
-
-UPPER2X2 = {
-    "coeff_ring": "rationals",
-    "rank": 3,
-    "basis_names": ["e11", "e12", "e22"],
-    "structure_constants": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1"], [2, 2, 2, "1"]],
-    "derivations": {"inner_e11": [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]},
-}
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=120
-    )
+from conftest import UPPER2X2, run_orelab as run_cli
 
 
 @pytest.fixture
@@ -227,6 +211,18 @@ def test_ore_nilpotency_bound_identity_budget_exits_3(tmp_path, monkeypatch, cap
                    "--derivation", "inner_e12"])
     assert rc == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_ore_nilpotency_span_cap_exits_3(tmp_path, monkeypatch, capsys):
+    from orelab import cli, orepoly
+
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(orepoly, "DEFAULT_SPAN_CAP", 0)
+    rc = cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
+                   "--set", "e12 + e23*x", "--derivation", "inner_e12"])
+    assert rc == 3
+    assert "budget exceeded: graded coordinate space" in capsys.readouterr().err
 
 
 def test_ore_nilpotency_bound_below_minimal_is_a_verdict(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
-from conftest import random_conjugate, random_derivation, random_element
+from conftest import random_conjugate, random_derivation, random_element, truncated_ideal
+
+from orelab import orepoly
 
 from orelab.algebra import inner_derivation, verify_leibniz
 from orelab.catalog import (
@@ -14,7 +16,7 @@ from orelab.catalog import (
     upper_2x2,
     vanishing_identity,
 )
-from orelab.errors import ExponentTooLarge, IdentityFails, NotNilpotent
+from orelab.errors import BudgetExceeded, ExponentTooLarge, IdentityFails, NotNilpotent
 from orelab.orepoly import (
     DiffPoly,
     commute_xd,
@@ -184,6 +186,7 @@ def test_set_power_dimension_examples():
     assert set_power_dimension(A, D0, S, 1) == 1
     assert set_power_dimension(A, D0, S, 2) == 1
     assert set_power_dimension(A, D0, S, 3) == 0
+    assert set_power_dimension(A, D0, S, 5) == 0
 
     sq = square_zero(1)
     Dsq = zero_derivation(sq)
@@ -245,14 +248,71 @@ def test_theorem_bound_not_nilpotent():
         theorem_bound(A, D0, [A.basis_element(0)], 1, commutators_identity())
 
 
-def test_locally_nilpotent_sets_terminate(rng):
-    # over a nilpotent algebra every finite polynomial set is nilpotent
-    A = strictly_upper_3x3()
-    for _ in range(10):
+def _random_sets(A, rng, count=10):
+    """(derivation, polynomial set) pairs with one or two polynomials of
+    x-degree <= 1."""
+    for _ in range(count):
         D = random_derivation(A, rng)
         S = [
             DiffPoly(A, [random_element(A, rng, 2) for _ in range(rng.randint(1, 2))])
             for _ in range(rng.randint(1, 2))
         ]
+        yield D, S
+
+
+def test_locally_nilpotent_sets_terminate(rng):
+    # over a nilpotent algebra every finite polynomial set is nilpotent
+    A = strictly_upper_3x3()
+    for D, S in _random_sets(A, rng):
         rep = minimal_nilpotency(A, D, S, 12)
         assert rep.minimal_N is not None
+
+
+def test_power_dims_match_set_power_dimension(rng):
+    A = strictly_upper_3x3()
+    for D, S in _random_sets(A, rng):
+        dims = minimal_nilpotency(A, D, S, 12).power_dims
+        assert list(dims) == [set_power_dimension(A, D, S, m) for m in range(1, len(dims) + 1)]
+
+
+def _scaled_ideal(n):
+    """t*QQ[t]/(t^n) with delta = t d/dt, which sends t^j to j t^j."""
+    A = truncated_ideal(n)
+    rows = [[QQ.zero] * A.rank for _ in range(A.rank)]
+    for i in range(A.rank):
+        rows[i][i] = QQ.from_int(i + 1)
+    return A, verify_leibniz(A, tuple(tuple(r) for r in rows))
+
+
+def test_minimal_nilpotency_walks_the_powers_once(monkeypatch):
+    # S = {t + t x}: every power has dimension 1 up to S^5 and S^6 = 0, so
+    # one walk makes one product per power, 5 in all (rebuilding every
+    # power from S makes 1 + 2 + ... + 5 = 15)
+    A, D = _scaled_ideal(6)
+    t = A.basis_element(0)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return ore_multiply(*args)
+
+    monkeypatch.setattr(orepoly, "ore_multiply", counted)
+    rep = minimal_nilpotency(A, D, [DiffPoly(A, [t, t])], 8)
+    assert rep.minimal_N == 5 and rep.power_dims == (1, 1, 1, 1, 1, 0)
+    assert len(calls) == 5
+
+
+def test_power_span_cap_raises_budget_exceeded(monkeypatch):
+    A = strictly_upper_3x3()
+    D0 = zero_derivation(A)
+    e12, e23 = A.basis_element(0), A.basis_element(2)
+    # graded space of e12 + e23 x at m = 1 has dimension 6 > 8 * 0
+    monkeypatch.setattr(orepoly, "DEFAULT_SPAN_CAP", 0)
+    with pytest.raises(BudgetExceeded, match="graded coordinate space of dimension 6"):
+        minimal_nilpotency(A, D0, [DiffPoly(A, [e12, e23])], 4)
+    # constants keep the graded space at 3 <= 8, but S has dimension 2 > 1
+    monkeypatch.setattr(orepoly, "DEFAULT_SPAN_CAP", 1)
+    S = [DiffPoly.constant(A, e12), DiffPoly.constant(A, e23)]
+    with pytest.raises(BudgetExceeded, match="span dimension 2 exceeds cap 1"):
+        minimal_nilpotency(A, D0, S, 4)
+    assert set_power_dimension(A, D0, S, 1) == 2
