@@ -515,7 +515,7 @@ def nilpotency_index(A: Algebra, S: Subspace) -> int | None:
     return None
 
 
-def b_sequence(A: Algebra, delta: Derivation, T, L: int) -> BoundSequence:
+def b_sequence(A: Algebra, delta: Derivation, T) -> BoundSequence:
     """Nilpotency indices of the spans of T, T u delta(T), ...
 
     Entry n is the index of span(T_n) where T_n collects derivative
@@ -526,19 +526,17 @@ def b_sequence(A: Algebra, delta: Derivation, T, L: int) -> BoundSequence:
     elems = [A.element(t) for t in T]
     span_now = A.span(elems)
     prefix = []
-    level = 0
     iterates = list(elems)
     while True:
         b = nilpotency_index(A, span_now)
         if b is None:
-            raise NotNilpotent(level)
+            raise NotNilpotent(len(prefix))
         prefix.append(b)
         iterates = [delta.apply(A.ring, x) for x in iterates]
         span_next = span_now.plus(A.span(iterates))
-        if span_next == span_now and level >= L:
+        if span_next == span_now:
             break
         span_now = span_next
-        level += 1
     return BoundSequence(tuple(prefix), extend_tail=True)
 
 

@@ -368,7 +368,7 @@ def cmd_ore_nilpotency(args) -> int:
         _check_set_in_span(A, S, A.span(T), args.k)
         from .algebra import b_sequence
 
-        bseq = b_sequence(A, delta, T, 0)
+        bseq = b_sequence(A, delta, T)
         rep.add("b_sequence", ",".join(map(str, bseq.prefix)))
         bound_value = theorem_bound(A, delta, T, args.k, identities[args.bound])
         rep.add("theorem_bound", bound_value)

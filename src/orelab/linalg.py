@@ -1,10 +1,12 @@
 """Exact linear algebra over the coefficient rings.
 
-Subspaces are stored canonically: reduced row echelon form over a field;
-over the integers, a Hermite-normal-form basis of the *saturated* lattice
-(the saturation of L is QL intersected with Z^r, so membership of an
-integer vector reduces to rational-span membership and the representation
-is division-free and canonical).
+One elimination, ``_echelon``, serves every ring. Subspaces are stored
+canonically: reduced row echelon form over a field; over the integers, the
+rational RREF rows scaled to primitive integer rows with positive pivots.
+A ZZ subspace spanned by a lattice L stands for its saturation, QL
+intersected with Z^r, which depends only on the rational span QL; so
+membership of an integer vector is rational-span membership and the
+representation is division-free and canonical.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .rings import CoeffRing, _numerators
+from .rings import QQ, CoeffRing, _from_numerators, _numerators
 
 
 def _echelon(rows, ring: CoeffRing):
@@ -78,13 +80,7 @@ def _echelon(rows, ring: CoeffRing):
 def rref(rows, ring: CoeffRing):
     """Reduced row echelon form over a field; returns canonical row tuples."""
     work, pivots = _echelon(rows, ring)
-    if ring.p:
-        return [tuple(r) for r in work]
-    zero = ring.zero
-    return [
-        tuple([Fraction(a, r[j]) if a else zero for a in r])
-        for r, j in zip(work, pivots)
-    ]
+    return [_from_numerators(ring, r, r[j]) for r, j in zip(work, pivots)]
 
 
 def nullspace(rows, ring: CoeffRing):
@@ -126,63 +122,14 @@ def solve_linear(rows, rhs, ring: CoeffRing):
     return tuple(x)
 
 
-def hermite_form(rows):
-    """Row-style Hermite normal form of an integer row lattice (canonical)."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    m, n = len(work), len(work[0])
-    i = 0
-    for j in range(n):
-        while True:
-            nz = [t for t in range(i, m) if work[t][j] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda t: abs(work[t][j]))
-            t0 = nz[0]
-            for t in nz[1:]:
-                q = work[t][j] // work[t0][j]
-                if q:
-                    work[t] = [a - q * b for a, b in zip(work[t], work[t0])]
-        nz = [t for t in range(i, m) if work[t][j] != 0]
-        if not nz:
-            continue
-        work[i], work[nz[0]] = work[nz[0]], work[i]
-        if work[i][j] < 0:
-            work[i] = [-a for a in work[i]]
-        for t in range(i):
-            q = work[t][j] // work[i][j]
-            if q:
-                work[t] = [a - q * b for a, b in zip(work[t], work[i])]
-        i += 1
-        if i == m:
-            break
-    return [tuple(r) for r in work[:i] if any(r)]
-
-
-def integer_kernel(rows, n: int):
-    """Saturated basis of {x in Z^n : rows @ x = 0}.
-
-    The rows of [rows^T | I_n] span the lattice of pairs (rows @ x, x); the
-    rows of its Hermite form whose left block vanished are (0, x) for x
-    running over a kernel basis.
-    """
-    k = len(rows)
-    stacked = [[r[j] for r in rows] + [int(t == j) for t in range(n)] for j in range(n)]
-    return [r[k:] for r in hermite_form(stacked) if not any(r[:k])]
-
-
-def saturate(rows, n: int):
-    """Canonical HNF basis of (Q-span of rows) intersected with Z^n: the
-    kernel of the kernel, which integer_kernel returns in Hermite form."""
-    return integer_kernel(integer_kernel(rows, n), n)
-
-
 class Subspace:
     """Canonical subspace of a rank-r coordinate module over a coefficient ring.
 
-    Over a field the basis is RREF; over ZZ it is the HNF basis of the
-    saturated lattice. Two subspaces are equal iff their bases coincide.
+    Over a field the basis is RREF; over ZZ it is the rational RREF with
+    each row scaled to primitive integers and a positive pivot. RREF is
+    unique for a rational span, so both are canonical: two subspaces are
+    equal iff their bases coincide. A ZZ basis spans the saturation over
+    QQ but need not be a Z-basis of it.
     """
 
     __slots__ = ("ring", "ambient", "basis")
@@ -204,7 +151,8 @@ class Subspace:
         if ring.is_field:
             basis = rref(vecs, ring)
         else:
-            basis = saturate([[int(a) for a in v] for v in vecs], ambient)
+            work, pivots = _echelon(vecs, QQ)
+            basis = [[-a for a in r] if r[j] < 0 else r for r, j in zip(work, pivots)]
         return cls(ring, ambient, basis)
 
     @classmethod
@@ -234,7 +182,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, ring={self.ring})"
 
     def contains(self, vector) -> bool:
-        """Membership. Over ZZ this is saturated-lattice membership, i.e.
+        """Membership. Over ZZ this is membership in the saturation, i.e.
         rational-span membership of an integer vector."""
         v = list(vector)
         if len(v) != self.ambient:

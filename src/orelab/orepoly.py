@@ -192,7 +192,7 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     summed integer coefficients, zeros drop, output sorted by that key.
     """
     gens = [A.element(g) for g in generators]
-    gen_indices = [int(i) for i in indices]
+    gen_indices = tuple(int(i) for i in indices)
     exps = [int(p) for p in exponents]
     n = len(gen_indices)
     if n < 1:
@@ -235,15 +235,9 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
                     break
                 stack.append((jprefix + (j,), coeff * comb(d, j), d - j))
 
-    merged: dict = {}
-    for (jword, M), c in out.items():
-        if c == 0:
-            continue
-        key = ((head,) + tuple(gen_indices), jword, M)
-        merged[key] = merged.get(key, 0) + c
     return [
-        CanonicalTerm(c, key[0][0], key[0][1:], Word(key[1]), key[2])
-        for key, c in sorted(merged.items())
+        CanonicalTerm(c, head, gen_indices, Word(jword), M)
+        for (jword, M), c in sorted(out.items())
         if c != 0
     ]
 
@@ -364,5 +358,5 @@ def theorem_bound(A: Algebra, delta: Derivation, T, k: int,
     ok, witness = verify_identity(A, ident)
     if not ok:
         raise IdentityFails(witness)
-    b = b_sequence(A, delta, T, 0)
+    b = b_sequence(A, delta, T)
     return compute_bounds(ident.degree, b, k, 1).N

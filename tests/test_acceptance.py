@@ -231,7 +231,7 @@ def test_criterion_7_nilpotency_pipeline_desk_instance():
     A = strictly_upper_3x3()
     D = inner_derivation(A, A.basis_element(0))
     T = [A.basis_element(i) for i in range(3)]
-    bseq = b_sequence(A, D, T, 0)
+    bseq = b_sequence(A, D, T)
     assert all(v >= 1 for v in bseq.prefix)
     N = theorem_bound(A, D, T, 1, vanishing_identity(3))
     assert N >= 1

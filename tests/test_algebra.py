@@ -613,18 +613,18 @@ def test_b_sequence_examples():
     A = strictly_upper_3x3()
     zero_rows = tuple(tuple(QQ.zero for _ in range(3)) for _ in range(3))
     D0 = verify_leibniz(A, zero_rows)
-    bs = b_sequence(A, D0, [A.basis_element(0)], 2)
-    assert all(b == bs.prefix[0] for b in bs.prefix)
+    bs = b_sequence(A, D0, [A.basis_element(0)])
+    assert all(bs.value(m) == bs.value(0) for m in range(3))
 
     Din = inner_derivation(A, A.basis_element(0))
-    bs2 = b_sequence(A, Din, [A.basis_element(2)], 1)
-    assert bs2.prefix[0] == 2 and bs2.prefix[1] == 2
+    bs2 = b_sequence(A, Din, [A.basis_element(2)])
+    assert bs2.value(0) == 2 and bs2.value(1) == 2
     assert bs2.extend_tail
 
     T3 = truncated_polynomial(GF(3), 3)
     D3 = formal_derivative(T3, 3)
     with pytest.raises(NotNilpotent) as exc:
-        b_sequence(T3, D3, [T3.basis_element(1)], 1)
+        b_sequence(T3, D3, [T3.basis_element(1)])
     assert exc.value.level == 1
 
 

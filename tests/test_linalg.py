@@ -1,19 +1,12 @@
-"""Exact linear algebra: echelon forms, integer kernels, saturation."""
+"""Exact linear algebra: echelon forms and canonical subspaces over every ring."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orelab.linalg import (
-    Subspace,
-    hermite_form,
-    integer_kernel,
-    nullspace,
-    rref,
-    saturate,
-    solve_linear,
-)
+from orelab.linalg import Subspace, nullspace, rref, solve_linear
 from orelab.rings import GF, QQ, ZZ
 
 small_int_rows = st.lists(
@@ -49,32 +42,9 @@ def test_solve_linear():
     assert solve_linear([[Fraction(0), Fraction(0)]], [Fraction(1)], QQ) is None
 
 
-def test_hermite_form_canonical():
-    assert hermite_form([[2, 4], [4, 8]]) == [(2, 4)]
-    assert hermite_form([[0, 1], [1, 0]]) == [(1, 0), (0, 1)]
-    # entries above the pivot reduce into [0, pivot)
-    h = hermite_form([[1, 5], [0, 3]])
-    assert h == [(1, 2), (0, 3)]
-
-
-@given(small_int_rows)
-def test_integer_kernel_annihilates_and_saturated(rows):
-    ker = integer_kernel(rows, 3)
-    for v in ker:
-        for r in rows:
-            assert sum(a * b for a, b in zip(r, v)) == 0
-    # saturation: halving any even kernel vector stays in the kernel lattice
-    span = Subspace(ZZ, 3, hermite_form(ker)) if ker else None
-    if span is not None:
-        for v in ker:
-            if all(a % 2 == 0 for a in v):
-                assert span.contains(tuple(a // 2 for a in v))
-
-
 def test_saturate_example():
     # lattice {(2,0,1),(0,2,1)} misses (1,-1,0); its saturation has it
-    sat = saturate([[2, 0, 1], [0, 2, 1]], 3)
-    S = Subspace(ZZ, 3, sat)
+    S = Subspace.span(ZZ, 3, [[2, 0, 1], [0, 2, 1]])
     assert S.contains((1, -1, 0))
     assert S.contains((2, 0, 1))
     assert S.dim == 2
@@ -83,11 +53,46 @@ def test_saturate_example():
 
 @given(small_int_rows)
 def test_saturate_idempotent_and_contains_rows(rows):
-    sat = saturate(rows, 3)
-    S = Subspace(ZZ, 3, sat)
+    S = Subspace.span(ZZ, 3, rows)
     for r in rows:
         assert S.contains(tuple(r))
-    assert saturate([list(r) for r in sat], 3) == sat
+    assert Subspace.span(ZZ, 3, S.basis) == S
+
+
+def primitive_positive(row):
+    """An RREF row (pivot 1) scaled to coprime integers; the pivot stays
+    positive."""
+    den = lcm(*[a.denominator for a in row])
+    ints = [int(a * den) for a in row]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints)
+
+
+@given(st.data())
+def test_zz_span_is_scaled_rational_echelon(data):
+    rows = data.draw(small_int_rows)
+    S = Subspace.span(ZZ, 3, rows)
+    assert S.basis == tuple(primitive_positive(r) for r in rref(rows, QQ))
+    assert all(type(a) is int for r in S.basis for a in r)
+    # membership is rational-span membership
+    Q = Subspace.span(QQ, 3, [[Fraction(a) for a in r] for r in rows])
+    v = data.draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+    assert S.contains(v) == Q.contains(v)
+    # a unimodular recombination (add a multiple of one row to another,
+    # swap, negate) spans the same lattice, so gives an equal subspace
+    moved = [list(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(moved) - 1))
+        j = data.draw(st.integers(0, len(moved) - 1))
+        op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            c = data.draw(st.integers(-3, 3))
+            moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
+        elif op == "swap":
+            moved[i], moved[j] = moved[j], moved[i]
+        elif op == "negate":
+            moved[i] = [-a for a in moved[i]]
+    assert Subspace.span(ZZ, 3, moved) == S
 
 
 def test_subspace_operations():

@@ -11,6 +11,7 @@ from orelab import orepoly
 from orelab.algebra import inner_derivation, verify_leibniz
 from orelab.catalog import (
     square_zero,
+    strictly_upper,
     strictly_upper_3x3,
     truncated_polynomial,
     upper_2x2,
@@ -30,7 +31,7 @@ from orelab.orepoly import (
     set_power_dimension,
     theorem_bound,
 )
-from orelab.rings import QQ
+from orelab.rings import QQ, ZZ
 from orelab.words import is_k_valid
 
 
@@ -273,6 +274,26 @@ def test_power_dims_match_set_power_dimension(rng):
     for D, S in _random_sets(A, rng):
         dims = minimal_nilpotency(A, D, S, 12).power_dims
         assert list(dims) == [set_power_dimension(A, D, S, m) for m in range(1, len(dims) + 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_power_dims_over_zz_match_qq(n, rng):
+    # a ZZ span stands for the saturated lattice of its rational span, and
+    # QQ-span(L S) = QQ-span(QL S), so every power has the same dimension
+    zz, qq = strictly_upper(n, ZZ), strictly_upper(n, QQ)
+    for _ in range(6):
+        inner = [rng.randint(-3, 3) for _ in range(zz.rank)]
+        polys = [
+            [[rng.randint(-3, 3) for _ in range(zz.rank)] for _ in range(2)]
+            for _ in range(rng.randint(1, 2))
+        ]
+        dims = []
+        for A in (zz, qq):
+            D = inner_derivation(A, tuple(map(A.ring.from_int, inner)))
+            S = [DiffPoly(A, [tuple(map(A.ring.from_int, c)) for c in poly])
+                 for poly in polys]
+            dims.append(minimal_nilpotency(A, D, S, 12).power_dims)
+        assert dims[0] == dims[1]
 
 
 def _scaled_ideal(n):
