@@ -102,7 +102,7 @@ class Algebra:
     def linear_combination(self, pairs):
         """Sum of m * x over (integer m, element x) pairs, with one exact
         reduction per coordinate."""
-        terms = [(m, *_numerators(x)) for m, x in pairs if m]
+        terms = [(m, *_numerators(self.ring, x)) for m, x in pairs if m]
         if not terms:
             return self._zero
         den = lcm(*[d for _, _, d in terms])
@@ -230,10 +230,7 @@ class Derivation:
         object.__setattr__(self, "_rows", rows)
 
     def apply(self, ring: CoeffRing, x):
-        den = self._den
-        if ring.kind == CoeffRing.RATIONALS:
-            x, dx = _numerators(x)
-            den *= dx
+        x, den = _numerators(ring, x)
         acc = []
         for row in self._rows:
             s = 0
@@ -242,7 +239,7 @@ class Derivation:
                 if a:
                     s += c * a
             acc.append(s)
-        return _from_numerators(ring, acc, den)
+        return _from_numerators(ring, acc, den * self._den)
 
     def power_apply(self, ring: CoeffRing, x, order: int):
         for _ in range(order):
@@ -334,7 +331,7 @@ def verify_leibniz(A: Algebra, matrix) -> Derivation:
 
     The residual is summed for all pairs in one pass over the integer rows
     of A and D; both are scaled by their own denominator, so every term
-    carries the same positive factor. Over GF(p) it is reduced mod p.
+    carries the same positive factor; it is tested for zero in the ring.
     """
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != A.rank or any(len(r) != A.rank for r in rows):
@@ -347,8 +344,8 @@ def verify_leibniz(A: Algebra, matrix) -> Derivation:
     residual = {}
     for key, x, c in _leibniz_terms(A, D._rows, cols):
         residual[key] = residual.get(key, 0) + c * x
-    p = A.ring.p
-    failing = [key[:2] for key, v in residual.items() if (v % p if p else v)]
+    values = _reduce(A.ring, residual.values())
+    failing = [key[:2] for key, v in zip(residual, values) if v]
     if failing:
         i, j = min(failing)
         ring = A.ring
@@ -411,14 +408,14 @@ def _identity_support(A: Algebra, d: int):
 
     The products are built on the integer rows by a depth-first walk: each
     nonzero prefix product is extended by every basis element at once, and
-    a prefix is dropped as soon as its product is zero (mod p over GF(p)).
+    a prefix is dropped as soon as its product is zero in the ring.
     P[i] is a sparse integer vector scaled by A._den ** (d - 1), the same
     factor for every tuple. Every nonzero prefix visited counts against
     DEFAULT_IDENTITY_BUDGET; BudgetExceeded is raised when the count passes
     it.
     """
     budget = DEFAULT_IDENTITY_BUDGET
-    p = A.ring.p
+    ring = A.ring
     rows = A._rows
     visited = 0
     # popped smallest first, so the walk runs in lexicographic order
@@ -440,10 +437,8 @@ def _identity_support(A: Algebra, d: int):
                 for w, c in consts:
                     acc[w] = acc.get(w, 0) + a * c
         for j in sorted(children, reverse=True):
-            if p:
-                acc = {w: v % p for w, v in children[j].items() if v % p}
-            else:
-                acc = {w: v for w, v in children[j].items() if v}
+            child = children[j]
+            acc = {w: v for w, v in zip(child, _reduce(ring, child.values())) if v}
             if acc:
                 stack.append((prefix + (j,), acc))
 
@@ -464,7 +459,6 @@ def verify_identity(A: Algebra, ident: MultilinearIdentity):
     smaller witness.
     """
     d = ident.degree
-    p = A.ring.p
     if not ident.coefficients:
         for i, _ in _identity_support(A, d):
             return False, i
@@ -491,9 +485,7 @@ def verify_identity(A: Algebra, ident: MultilinearIdentity):
                 for w, v in vec:
                     acc[w] = acc.get(w, 0) + m * v
         for i, acc in residual.items():
-            if (witness is None or i < witness) and any(
-                v % p if p else v for v in acc.values()
-            ):
+            if (witness is None or i < witness) and any(_reduce(A.ring, acc.values())):
                 witness = i
     return witness is None, witness
 

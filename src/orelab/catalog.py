@@ -2,25 +2,35 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, permutations
 
 from .algebra import Algebra, Derivation, MultilinearIdentity, verify_leibniz
 from .rings import GF, QQ, CoeffRing
 
 
+def _matrix_units(n: int, keep, ring: CoeffRing) -> Algebra:
+    """The n x n matrix units e_ab with keep(a, b), in row-major order, with
+    e_ab * e_bc = e_ac and all other products zero; the kept pairs are
+    closed under that product."""
+    if n < 1:
+        raise ValueError("matrix size is positive")
+    sep = "" if n < 10 else "_"
+    units = [(a, b) for a in range(n) for b in range(n) if keep(a, b)]
+    index = {u: i for i, u in enumerate(units)}
+    table = {
+        (index[a, b], index[b, c]): {index[a, c]: ring.one}
+        for a, b in units for c in range(n) if (b, c) in index
+    }
+    names = tuple(f"e{a + 1}{sep}{b + 1}" for a, b in units)
+    return Algebra(ring, len(units), names, table)
+
+
 def strictly_upper(n: int, ring: CoeffRing = QQ) -> Algebra:
     """Strictly upper-triangular n x n matrices: the matrix units e_ab with
     a < b in row-major order, e_ab * e_bc = e_ac and all other products
     zero."""
-    sep = "" if n < 10 else "_"
-    units = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    index = {u: i for i, u in enumerate(units)}
-    table = {
-        (index[a, b], index[b, c]): {index[a, c]: ring.one}
-        for a, b in units for c in range(b + 1, n)
-    }
-    names = tuple(f"e{a + 1}{sep}{b + 1}" for a, b in units)
-    return Algebra(ring, len(units), names, table)
+    return _matrix_units(n, operator.lt, ring)
 
 
 def strictly_upper_3x3(ring: CoeffRing = QQ) -> Algebra:
@@ -32,27 +42,12 @@ def strictly_upper_3x3(ring: CoeffRing = QQ) -> Algebra:
 def full_matrix(n: int, ring: CoeffRing = QQ) -> Algebra:
     """All n x n matrices: the matrix units e_ab in row-major order, with
     e_ab * e_bc = e_ac and all other products zero."""
-    if n < 1:
-        raise ValueError("matrix size is positive")
-    sep = "" if n < 10 else "_"
-    names = tuple(f"e{a}{sep}{b}" for a in range(1, n + 1) for b in range(1, n + 1))
-    table = {
-        (a * n + b, b * n + c): {a * n + c: ring.one}
-        for a in range(n) for b in range(n) for c in range(n)
-    }
-    return Algebra(ring, n * n, names, table)
+    return _matrix_units(n, lambda a, b: True, ring)
 
 
 def upper_2x2(ring: CoeffRing = QQ) -> Algebra:
     """Upper-triangular 2x2 matrices: basis e11, e12, e22 (unital)."""
-    one = ring.one
-    table = {
-        (0, 0): {0: one},
-        (0, 1): {1: one},
-        (1, 2): {1: one},
-        (2, 2): {2: one},
-    }
-    return Algebra(ring, 3, ("e11", "e12", "e22"), table)
+    return _matrix_units(2, operator.le, ring)
 
 
 def square_zero(rank: int = 1, ring: CoeffRing = QQ) -> Algebra:

@@ -1,55 +1,45 @@
 """Exact linear algebra over the coefficient rings.
 
-One elimination, ``_echelon``, serves every ring. Subspaces are stored
-canonically: reduced row echelon form over a field; over the integers, the
-rational RREF rows scaled to primitive integer rows with positive pivots.
-A ZZ subspace spanned by a lattice L stands for its saturation, QL
-intersected with Z^r, which depends only on the rational span QL; so
-membership of an integer vector is rational-span membership and the
-representation is division-free and canonical.
+One elimination, ``_echelon``, serves every ring, and the helpers of
+``rings`` decide how its integer rows become ring elements; nothing here
+branches on the ring. See ``Subspace`` for the canonical forms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .rings import QQ, CoeffRing, _from_numerators, _numerators
+from .rings import CoeffRing, _basis_row, _from_numerators, _numerators, _reduce, _unit_row
 
 
 def _echelon(rows, ring: CoeffRing):
     """Gauss-Jordan elimination on integer rows: (rows, pivot columns).
 
-    Over GF(p) the rows are reduced mod p and each pivot is scaled to 1.
-    Over QQ each row is scaled to integers and elimination is fraction-free,
-    with rows kept primitive (gcd removed); RREF row t is rows[t] divided by
-    rows[t][pivots[t]]. The subtraction in a row update runs over the
-    nonzero columns of the pivot row only.
+    The rows are taken as integer numerators (`rings._numerators`). A row
+    is replaced by its canonical unit multiple (`rings._unit_row`: reduced
+    mod p over GF(p), primitive over QQ and ZZ) when it is picked as a
+    pivot row and after every update. The update is fraction-free and the
+    same for every ring: a row r with entry c in the pivot column of the
+    pivot row `row` (pivot pv) becomes (pv * r - c * row) / gcd(pv, c); its
+    subtraction runs over the nonzero columns of the pivot row only. RREF
+    row t is rows[t] divided by rows[t][pivots[t]]. Over ZZ this is the
+    rational elimination of the integer rows.
     """
-    if not ring.is_field:
-        raise ValueError("rref requires a field")
-    p = ring.p
-    if p:
-        work = [[a % p for a in r] for r in rows]
-    else:
-        work = [_numerators(r)[0] for r in rows]
-    work = [r for r in work if any(r)]
+    work = [r for r in (_numerators(ring, x)[0] for x in rows) if any(r)]
     m = len(work)
     pivots = []
     for j in range(len(work[0]) if work else 0):
         i = len(pivots)
-        t = next((t for t in range(i, m) if work[t][j]), None)
-        if t is None:
-            continue
-        row = work[t]
-        work[t] = work[i]
-        if p:
-            f = pow(row[j], -1, p)
-            row = [a * f % p for a in row]
+        for t in range(i, m):
+            if work[t][j]:
+                # an input row becomes canonical when it is first a pivot
+                # candidate; an unreduced entry over GF(p) can vanish then
+                row = work[t] = _unit_row(ring, work[t])
+                if row[j]:
+                    break
         else:
-            g = gcd(*row)
-            if g > 1:
-                row = [a // g for a in row]
+            continue
+        work[t] = work[i]
         work[i] = row
         pv = row[j]
         nz = [(k, b) for k, b in enumerate(row) if b]
@@ -58,29 +48,30 @@ def _echelon(rows, ring: CoeffRing):
             c = r[j]
             if not c or t == i:
                 continue
-            if p:
-                for k, b in nz:
-                    r[k] = (r[k] - c * b) % p
-                continue
-            # r <- (pv * r - c * row) / gcd(pv, c), then made primitive
             g = gcd(pv, c)
             f, c = pv // g, c // g
             if f != 1:
                 r = [f * a for a in r]
             for k, b in nz:
                 r[k] -= c * b
-            g = gcd(*r)
-            work[t] = [a // g for a in r] if g > 1 else r
+            work[t] = _unit_row(ring, r)
         pivots.append(j)
         if i + 1 == m:
             break
     return work[:len(pivots)], pivots
 
 
+def _field_echelon(rows, ring: CoeffRing):
+    """`_echelon` for the functions whose results need division."""
+    if not ring.is_field:
+        raise ValueError("rref requires a field")
+    return _echelon(rows, ring)
+
+
 def rref(rows, ring: CoeffRing):
     """Reduced row echelon form over a field; returns canonical row tuples."""
-    work, pivots = _echelon(rows, ring)
-    return [_from_numerators(ring, r, r[j]) for r, j in zip(work, pivots)]
+    work, pivots = _field_echelon(rows, ring)
+    return [_basis_row(ring, r, j) for r, j in zip(work, pivots)]
 
 
 def nullspace(rows, ring: CoeffRing):
@@ -88,15 +79,16 @@ def nullspace(rows, ring: CoeffRing):
     if not rows:
         return []
     n = len(rows[0])
-    work, pivots = _echelon(rows, ring)
-    p = ring.p
+    work, pivots = _field_echelon(rows, ring)
+    free = sorted(set(range(n)).difference(pivots))
+    # echelon row r with pivot j sets x[j] = -sum over free f of r[f] / r[j] * x[f]
+    coeffs = [_from_numerators(ring, [r[f] for f in free], -r[j]) for r, j in zip(work, pivots)]
     basis = []
-    for f in sorted(set(range(n)).difference(pivots)):
+    for s, f in enumerate(free):
         v = [ring.zero] * n
         v[f] = ring.one
-        for r, j in zip(work, pivots):
-            if r[f]:
-                v[j] = -r[f] % p if p else Fraction(-r[f], r[j])
+        for c, j in zip(coeffs, pivots):
+            v[j] = c[s]
         basis.append(tuple(v))
     return basis
 
@@ -106,14 +98,15 @@ def solve_linear(rows, rhs, ring: CoeffRing):
     if not rows:
         return None
     n = len(rows[0])
-    work, pivots = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], ring)
+    work, pivots = _field_echelon([list(r) + [b] for r, b in zip(rows, rhs)], ring)
     if pivots and pivots[-1] == n:
         return None  # row 0 = 1: inconsistent
     x = [ring.zero] * n
     for r, j in zip(work, pivots):
-        x[j] = r[n] if ring.p else Fraction(r[n], r[j])
+        x[j] = _from_numerators(ring, (r[n],), r[j])[0]
     # pivot-only assignment solves the system when consistent; verify
-    for r, b in zip(rows, rhs):
+    # against rhs as ring elements (it need not be reduced mod p)
+    for r, b in zip(rows, _reduce(ring, rhs)):
         acc = ring.zero
         for c, xv in zip(r, x):
             acc = ring.add(acc, ring.mul(c, xv))
@@ -128,8 +121,9 @@ class Subspace:
     Over a field the basis is RREF; over ZZ it is the rational RREF with
     each row scaled to primitive integers and a positive pivot. RREF is
     unique for a rational span, so both are canonical: two subspaces are
-    equal iff their bases coincide. A ZZ basis spans the saturation over
-    QQ but need not be a Z-basis of it.
+    equal iff their bases coincide. A ZZ subspace spanned by a lattice L
+    stands for its saturation QL ∩ Z^r, which depends only on QL; its basis
+    need not be a Z-basis of it.
     """
 
     __slots__ = ("ring", "ambient", "basis")
@@ -148,12 +142,8 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient rank {ambient}")
-        if ring.is_field:
-            basis = rref(vecs, ring)
-        else:
-            work, pivots = _echelon(vecs, QQ)
-            basis = [[-a for a in r] if r[j] < 0 else r for r, j in zip(work, pivots)]
-        return cls(ring, ambient, basis)
+        work, pivots = _echelon(vecs, ring)
+        return cls(ring, ambient, [_basis_row(ring, r, j) for r, j in zip(work, pivots)])
 
     @classmethod
     def zero(cls, ring: CoeffRing, ambient: int) -> "Subspace":
@@ -187,19 +177,17 @@ class Subspace:
         v = list(vector)
         if len(v) != self.ambient:
             raise ValueError("vector length mismatch")
-        p = self.ring.p
-        w = [a % p for a in v] if p else _numerators(v)[0]
+        ring = self.ring
+        w = _reduce(ring, _numerators(ring, v)[0])
         for row in self.basis:
-            b = row if p else _numerators(row)[0]
+            b = _numerators(ring, row)[0]
             j = next(j for j, a in enumerate(b) if a)
             c = w[j]
             if c:
                 # w <- (b[j] * w - c * b) / gcd(b[j], c)
                 g = gcd(b[j], c)
                 f, c = b[j] // g, c // g
-                w = [f * a - c * x for a, x in zip(w, b)]
-                if p:
-                    w = [a % p for a in w]
+                w = _reduce(ring, [f * a - c * x for a, x in zip(w, b)])
         return not any(w)
 
     def plus(self, other: "Subspace") -> "Subspace":

@@ -21,6 +21,10 @@ from .words import Word, compute_bounds
 # next power is formed; its graded coordinate space may be 8 times wider
 DEFAULT_SPAN_CAP = 4096
 
+# partial products (j-prefixes) rewrite_product may visit; the expansion
+# grows like a product of binomial rows, so this caps its time and memory
+DEFAULT_REWRITE_BUDGET = 200_000
+
 
 class DiffPoly:
     """Polynomial sum a_n x^n + ... + a_1 x + a_0 with a_i in the algebra.
@@ -190,6 +194,8 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     whose derivative iterate delta^j(a) vanishes contribute nothing and
     are dropped. Terms with equal (indices, jword, xdeg) merge with
     summed integer coefficients, zeros drop, output sorted by that key.
+    Every partial product visited counts against DEFAULT_REWRITE_BUDGET;
+    BudgetExceeded is raised when the count passes it.
     """
     gens = [A.element(g) for g in generators]
     gen_indices = tuple(int(i) for i in indices)
@@ -218,12 +224,17 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     live = [[j for j, a in enumerate(chains[i]) if not A.is_zero_elem(a)]
             for i in gen_indices]
 
+    budget = DEFAULT_REWRITE_BUDGET
+    visited = 0
     out: dict = {}
     if not A.is_zero_elem(gens[head]):
         # (j-prefix, coefficient, x-degree carried into the next factor)
         stack = [((), 1, 0)]
         while stack:
             jprefix, coeff, carried = stack.pop()
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(f"rewriting visits more than {budget} partial products")
             t = len(jprefix)
             if t == n:
                 key = (jprefix, carried + exps[n])

@@ -1,16 +1,16 @@
 """Exact coefficient rings: integers, rationals, and prime fields.
 
 Scalars are plain Python objects (int for ZZ and GF(p), Fraction for QQ).
-The ring object parses, formats and combines single scalars; the helpers at
-the end turn vectors into integer numerators and back, so the algebra and
-linear-algebra layers compute on plain ints. No floating point is used
-anywhere.
+The ring object parses, formats and combines single scalars. The helpers at
+the end are the one place where integer vectors become ring elements, so
+the algebra and linear-algebra layers compute on plain ints without asking
+which ring they serve. No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import MalformedInput
 
@@ -77,11 +77,7 @@ class CoeffRing:
     # --- element arithmetic ---
 
     def from_int(self, n: int):
-        if self.kind == self.RATIONALS:
-            return Fraction(n)
-        if self.kind == self.PRIME_FIELD:
-            return n % self.p
-        return n
+        return _from_numerators(self, (n,), 1)[0]
 
     def add(self, a, b):
         c = a + b
@@ -107,17 +103,15 @@ class CoeffRing:
                 num, den = int(num_s), int(den_s)
                 if den == 0:
                     raise MalformedInput(f"zero denominator in {s!r}", field=field)
-                if self.kind == self.RATIONALS:
-                    return Fraction(num, den)
-                if self.kind == self.PRIME_FIELD:
-                    if den % self.p == 0:
-                        raise MalformedInput(
-                            f"denominator of {s!r} vanishes mod {self.p}", field=field
-                        )
-                    return (num * pow(den, -1, self.p)) % self.p
-                raise MalformedInput(
-                    f"rational value {s!r} not allowed over the integers", field=field
-                )
+                if not self.is_field:
+                    raise MalformedInput(
+                        f"rational value {s!r} not allowed over the integers", field=field
+                    )
+                if self.p and den % self.p == 0:
+                    raise MalformedInput(
+                        f"denominator of {s!r} vanishes mod {self.p}", field=field
+                    )
+                return _from_numerators(self, (num,), den)[0]
             return self.from_int(int(s))
         except ValueError:
             raise MalformedInput(f"cannot parse exact value {s!r}", field=field) from None
@@ -147,8 +141,11 @@ def _reduce(ring: CoeffRing, coords):
     return tuple([a % p for a in coords]) if p else tuple(coords)
 
 
-def _numerators(x):
-    """(integer numerators of x over a common denominator d, d)."""
+def _numerators(ring: CoeffRing, x):
+    """(a new list of integer numerators of x over a common denominator
+    d, d); outside QQ, x's own integers over 1."""
+    if ring.kind != CoeffRing.RATIONALS:
+        return list(x), 1
     ratios = [a.as_integer_ratio() for a in x]
     d = lcm(*[e for _, e in ratios])
     if d == 1:
@@ -157,9 +154,30 @@ def _numerators(x):
 
 
 def _from_numerators(ring: CoeffRing, acc, den: int):
-    """Ring elements from integer numerators over den (den is 1 except
-    over the rationals); one Fraction per nonzero rational coordinate."""
+    """Ring elements acc / den for a unit den of the ring (1 over ZZ): one
+    Fraction per nonzero coordinate over QQ, times den^-1 mod p over GF(p)."""
     if ring.kind == CoeffRing.RATIONALS:
         zero = ring.zero
         return tuple([Fraction(s, den) if s else zero for s in acc])
+    if den != 1:
+        f = pow(den, -1, ring.p)
+        acc = [s * f for s in acc]
     return _reduce(ring, acc)
+
+
+def _unit_row(ring: CoeffRing, row):
+    """The canonical unit multiple of an integer row: reduced mod p over
+    GF(p), primitive over QQ and over ZZ (a ZZ subspace is a rational span)."""
+    p = ring.p
+    if p:
+        return [a % p for a in row]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _basis_row(ring: CoeffRing, row, j: int):
+    """Canonical basis vector from an echelon row with pivot column j: the
+    RREF row row / row[j] over a field, the row with a positive pivot over ZZ."""
+    if ring.is_field:
+        return _from_numerators(ring, row, row[j])
+    return tuple(row) if row[j] > 0 else tuple([-a for a in row])

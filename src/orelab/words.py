@@ -131,16 +131,10 @@ class Factorization:
             raise ValueError("cuts out of range")
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("blocks are nonempty, cuts strictly increase")
-        for t in range(1, len(cuts) - 1):
-            code = kernels.compare_ranges(
-                word.letters, cuts[t - 1], cuts[t], cuts[t], cuts[t + 1]
-            )
-            if code != 1:
-                raise ValueError(
-                    f"blocks {t} and {t + 1} are not strictly decreasing"
-                )
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "cuts", cuts)
+        if not self.blocks_decreasing():
+            raise ValueError("blocks are not strictly decreasing")
 
     @property
     def block_count(self) -> int:

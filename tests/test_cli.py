@@ -259,6 +259,20 @@ def test_ore_rewrite(tmp_path):
     assert "term1 = 1 | 0,2 | 1 | 0" in res.stdout
 
 
+def test_ore_rewrite_budget_exits_3(tmp_path, monkeypatch, capsys):
+    from orelab import cli, orepoly
+
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # the expansion above visits three partial products: (), (0,) and (1,)
+    monkeypatch.setattr(orepoly, "DEFAULT_REWRITE_BUDGET", 2)
+    rc = cli.main(["ore-rewrite", str(tmp_path / "upper3strict.json"),
+                   "--derivation", "inner_e12", "--head", "e12",
+                   "--indices", "e23", "--exponents", "1,0", "--k", "1"])
+    assert rc == 3
+    assert "budget exceeded: rewriting" in capsys.readouterr().err
+
+
 # --- bundled examples ---------------------------------------------------------
 
 def test_examples_charp(tmp_path):

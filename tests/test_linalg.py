@@ -27,12 +27,23 @@ def test_rref_prime_field():
     assert red == [(1, 0), (0, 1)]
 
 
-@given(small_int_rows)
-def test_nullspace_annihilates(rows):
-    qrows = [[Fraction(a) for a in r] for r in rows]
-    for v in nullspace(qrows, QQ):
-        for r in qrows:
-            assert sum(a * b for a, b in zip(r, v)) == 0
+def dot(ring, r, v):
+    acc = ring.zero
+    for a, b in zip(r, v):
+        acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
+@given(st.data())
+def test_nullspace_annihilates(data):
+    ring = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(rows_over(ring, n, max_rows=6))
+    basis = nullspace(rows, ring)
+    for v in basis:
+        assert all(ring.is_zero(dot(ring, r, v)) for r in rows)
+    assert len(basis) == n - len(reference_rref(rows, ring.p))
+    assert Subspace.span(ring, n, basis).dim == len(basis)
 
 
 def test_solve_linear():
@@ -40,6 +51,27 @@ def test_solve_linear():
     x = solve_linear(rows, [Fraction(4), Fraction(0)], QQ)
     assert x == (Fraction(2), Fraction(2))
     assert solve_linear([[Fraction(0), Fraction(0)]], [Fraction(1)], QQ) is None
+    # a right-hand side that is not reduced mod p is the same ring element
+    assert solve_linear([[1]], [6], GF(5)) == (1,)
+    assert solve_linear([[2, 0], [0, 0]], [3, 10], GF(5)) == (4, 0)
+
+
+@given(st.data())
+def test_solve_linear_solves_consistent_systems(data):
+    ring = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(rows_over(ring, n, max_rows=6))
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(entries(ring), min_size=n, max_size=n))
+        rhs = [dot(ring, r, x0) for r in rows]
+    else:
+        rhs = data.draw(st.lists(entries(ring), min_size=len(rows), max_size=len(rows)))
+    x = solve_linear(rows, rhs, ring)
+    augmented = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)], ring.p)
+    inconsistent = any(r[n] and not any(r[:n]) for r in augmented)
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert all(dot(ring, r, x) == b for r, b in zip(rows, rhs))
 
 
 def test_saturate_example():

@@ -10,6 +10,7 @@ from orelab import orepoly
 
 from orelab.algebra import inner_derivation, verify_leibniz
 from orelab.catalog import (
+    scaling_derivation,
     square_zero,
     strictly_upper,
     strictly_upper_3x3,
@@ -158,6 +159,19 @@ def test_rewrite_terms_sorted_and_merged():
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert all(t.coeff != 0 for t in terms)
+
+
+def test_rewrite_budget(monkeypatch):
+    # delta(t) = t never vanishes, so t x^1 t visits (), (0,) and (1,)
+    A = truncated_polynomial(QQ, 3)
+    D = scaling_derivation(A, 3)
+    gens = [A.basis_element(i) for i in range(A.rank)]
+    monkeypatch.setattr(orepoly, "DEFAULT_REWRITE_BUDGET", 3)
+    assert len(rewrite_product(A, D, gens, 1, [1], (1, 0), 1)) == 2
+    for budget in (2, 0):
+        monkeypatch.setattr(orepoly, "DEFAULT_REWRITE_BUDGET", budget)
+        with pytest.raises(BudgetExceeded):
+            rewrite_product(A, D, gens, 1, [1], (1, 0), 1)
 
 
 @pytest.mark.parametrize("k", [1, 2])
