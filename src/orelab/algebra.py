@@ -241,10 +241,16 @@ class Derivation:
             acc.append(s)
         return _from_numerators(ring, acc, den * self._den)
 
-    def power_apply(self, ring: CoeffRing, x, order: int):
-        for _ in range(order):
+    def iterates(self, ring: CoeffRing, x, order: int) -> list:
+        """[x, delta(x), ..., delta^order(x)], cut before the first zero
+        iterate (every later one is zero too); [] when x is zero."""
+        chain = [x] if any(x) else []
+        while chain and len(chain) <= order:
             x = self.apply(ring, x)
-        return x
+            if not any(x):
+                break
+            chain.append(x)
+        return chain
 
     @property
     def is_zero(self) -> bool:

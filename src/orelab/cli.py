@@ -372,11 +372,11 @@ def cmd_ore_nilpotency(args) -> int:
         rep.add("b_sequence", ",".join(map(str, bseq.prefix)))
         bound_value = theorem_bound(A, delta, T, args.k, identities[args.bound])
         rep.add("theorem_bound", bound_value)
-    try:
-        result = minimal_nilpotency(A, delta, S, args.cap, theorem_bound_value=bound_value)
-    except ValueError as exc:  # the report refuses minimal_N > theorem_bound
+    result = minimal_nilpotency(A, delta, S, args.cap)
+    if (bound_value is not None and result.minimal_N is not None
+            and result.minimal_N > bound_value):
         rep.add("minimal_le_bound", False)
-        rep.add("verdict", f"MISMATCH: {exc}")
+        rep.add("verdict", "MISMATCH: verified minimal nilpotency exceeds the proven bound")
         rep.emit(args.json)
         return VERDICT_MISMATCH
     rep.add("power_dims", ",".join(map(str, result.power_dims)))

@@ -9,7 +9,7 @@ nilpotency pipeline bounds powers of finite polynomial sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from math import comb
 
 from .algebra import Algebra, Derivation, MultilinearIdentity, b_sequence, verify_identity
@@ -104,14 +104,9 @@ def commute_xd(A: Algebra, delta: Derivation, d: int, a):
     """Expansion of x^d * a as [(binomial, delta^j(a), d - j)] for j = 0..d."""
     if d < 0:
         raise ValueError("d is a natural number")
-    a = A.element(a)
-    out = []
-    cur = a
-    for j in range(d + 1):
-        out.append((comb(d, j), cur, d - j))
-        if j < d:
-            cur = delta.apply(A.ring, cur)
-    return out
+    chain = delta.iterates(A.ring, A.element(a), d)
+    chain += [A.zero()] * (d + 1 - len(chain))
+    return [(comb(d, j), cur, d - j) for j, cur in enumerate(chain)]
 
 
 def mul_x_left(A: Algebra, delta: Derivation, f: DiffPoly) -> DiffPoly:
@@ -133,28 +128,14 @@ def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> Dif
     for j, gb in enumerate(g.coeffs):
         if A.is_zero_elem(gb):
             continue
-        chain = [gb]
+        chain = delta.iterates(A.ring, gb, f.degree)
         for i, fa in enumerate(f.coeffs):
             if A.is_zero_elem(fa):
                 continue
             # fa x^i * gb x^j = sum_t C(i,t) fa delta^t(gb) x^(i-t+j)
-            for t in range(i + 1):
-                cur = _delta_iterate(A, delta, chain, t)
-                if A.is_zero_elem(cur):
-                    break
+            for t, cur in enumerate(chain[:i + 1]):
                 by_degree[i - t + j].append((comb(i, t), A.mul(fa, cur)))
     return DiffPoly(A, [A.linear_combination(pairs) for pairs in by_degree])
-
-
-def _delta_iterate(A: Algebra, delta: Derivation, chain: list, order: int):
-    """delta^order(chain[0]), extending the memo chain = [a, delta(a), ...]
-    as needed. The chain stops at its first zero iterate: every later one
-    is zero too."""
-    while len(chain) <= order:
-        if A.is_zero_elem(chain[-1]):
-            return chain[-1]
-        chain.append(delta.apply(A.ring, chain[-1]))
-    return chain[order]
 
 
 def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
@@ -212,17 +193,10 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     if any(p > k for p in exps):
         raise ExponentTooLarge(f"exponents {exps} exceed k={k}")
 
-    # delta-iterates per generator, up to the largest possible carried
-    # degree or the first zero iterate
-    max_order = sum(exps)
-    chains = {}
-    for i in gen_indices:
-        if i not in chains:
-            chains[i] = [gens[i]]
-            _delta_iterate(A, delta, chains[i], max_order)
-    # orders j with a nonzero iterate delta^j, per factor
-    live = [[j for j, a in enumerate(chains[i]) if not A.is_zero_elem(a)]
-            for i in gen_indices]
+    # per factor, the number of nonzero delta-iterates up to the largest
+    # possible carried degree: delta^j(a) is nonzero exactly for j < reach
+    chain_len = {i: len(delta.iterates(A.ring, gens[i], sum(exps))) for i in set(gen_indices)}
+    reach = [chain_len[i] for i in gen_indices]
 
     budget = DEFAULT_REWRITE_BUDGET
     visited = 0
@@ -241,9 +215,7 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
                 out[key] = out.get(key, 0) + coeff
                 continue
             d = carried + exps[t]
-            for j in live[t]:
-                if j > d:
-                    break
+            for j in range(min(d + 1, reach[t])):
                 stack.append((jprefix + (j,), coeff * comb(d, j), d - j))
 
     return [
@@ -256,15 +228,23 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
 def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly:
     """Sum of canonical terms as a DiffPoly; generators[i] is the element
     a_i referenced by term indices."""
-    chains: dict = {}  # generator index -> its delta-iterates so far
+    terms = list(terms)
+    order: dict = {}  # generator index -> highest delta-order a term asks of it
+    for t in terms:
+        for idx, j in zip(t.indices, t.jword.letters):
+            if j > order.get(idx, -1):
+                order[idx] = j
+    chains = {idx: delta.iterates(A.ring, A.element(generators[idx]), j)
+              for idx, j in order.items()}
     by_degree: dict = {}
     for t in terms:
         elem = A.element(generators[t.head])
         for idx, j in zip(t.indices, t.jword.letters):
-            chain = chains.get(idx)
-            if chain is None:
-                chain = chains[idx] = [A.element(generators[idx])]
-            elem = A.mul(elem, _delta_iterate(A, delta, chain, j))
+            chain = chains[idx]
+            if j >= len(chain):  # delta^j(a) = 0
+                elem = A.zero()
+                break
+            elem = A.mul(elem, chain[j])
         by_degree.setdefault(t.xdeg, []).append((t.coeff, elem))
     top = max(by_degree, default=-1)
     return DiffPoly(A, [A.linear_combination(by_degree.get(d, ())) for d in range(top + 1)])
@@ -321,42 +301,23 @@ def _power_dims(A: Algebra, delta: Derivation, S):
             return
 
 
-def set_power_dimension(A: Algebra, delta: Derivation, S, m: int) -> int:
-    """Dimension of the linear span of all m-fold products of S (0 once a
-    lower power has vanished)."""
-    if m < 1:
-        raise ValueError("power is positive")
-    return next(islice(_power_dims(A, delta, S), m - 1, None), 0)
-
-
 @dataclass(frozen=True)
 class NilpotencyReport:
     """Outcome of the nilpotency pipeline on a finite set S.
 
-    minimal_N: least N with S^(N+1) = 0, when found within the cap.
-    theorem_bound: guaranteed N from the word-combinatorics pipeline.
+    minimal_N: least N with S^(N+1) = 0, or None when the cap was reached
+    first.
     power_dims: dim span(S^m) for m = 1.. as far as computed.
-    cap_exceeded: the search stopped at the cap without reaching zero.
     """
 
     minimal_N: int | None
-    theorem_bound: int | None
     power_dims: tuple[int, ...]
-    cap_exceeded: bool = False
-
-    def __post_init__(self):
-        if self.minimal_N is not None and self.theorem_bound is not None:
-            if self.minimal_N > self.theorem_bound:
-                raise ValueError("verified minimal nilpotency exceeds the proven bound")
 
 
-def minimal_nilpotency(A: Algebra, delta: Derivation, S, cap: int,
-                       theorem_bound_value: int | None = None) -> NilpotencyReport:
+def minimal_nilpotency(A: Algebra, delta: Derivation, S, cap: int) -> NilpotencyReport:
     """Least N <= cap with every (N+1)-fold product of S zero."""
     dims = tuple(dim for _, dim in zip(range(cap + 1), _power_dims(A, delta, S)))
-    if dims and dims[-1] == 0:
-        return NilpotencyReport(len(dims) - 1, theorem_bound_value, dims)
-    return NilpotencyReport(None, theorem_bound_value, dims, cap_exceeded=True)
+    return NilpotencyReport(len(dims) - 1 if dims and dims[-1] == 0 else None, dims)
 
 
 def theorem_bound(A: Algebra, delta: Derivation, T, k: int,

@@ -39,14 +39,6 @@ class StabilityResult:
     witness: tuple | None  # (element of N, its image outside N)
 
 
-def _trace_of_left(A: Algebra, z):
-    ring = A.ring
-    acc = ring.zero
-    for j in range(A.rank):
-        acc = ring.add(acc, A.mul(z, A.basis_element(j))[j])
-    return acc
-
-
 def radical_char0(A: Algebra) -> RadicalReport:
     """Nil radical of a unital algebra over the rationals.
 
@@ -58,12 +50,14 @@ def radical_char0(A: Algebra) -> RadicalReport:
         raise PreconditionViolated("radical computation requires the rationals")
     if find_unit(A) is None:
         raise PreconditionViolated("radical computation requires a unital algebra")
-    gram = [
-        tuple(
-            _trace_of_left(A, A.basis_product(i, j)) for j in range(A.rank)
-        )
-        for i in range(A.rank)
-    ]
+    # on the integer structure constants C = den * c (A._rows):
+    # tr L_{e_k} = sum_j c_kj^j and B(e_i, e_j) = sum_k c_ij^k tr L_{e_k},
+    # so gram is den^2 * B, which has the same kernel
+    traces = [sum(c for j, consts in row for k, c in consts if k == j) for row in A._rows]
+    gram = [[0] * A.rank for _ in range(A.rank)]
+    for i, row in enumerate(A._rows):
+        for j, consts in row:
+            gram[i][j] = sum(c * traces[k] for k, c in consts)
     basis = nullspace(gram, A.ring)
     rad = Subspace.span(A.ring, A.rank, basis)
     ok, cert = is_nil_ideal(A, rad)
@@ -118,17 +112,18 @@ class LeibnizTable:
         return self.as_dict().get(tuple(composition), 0)
 
 
-def leibniz_coefficients(n: int, cap: int = LEIBNIZ_CAP) -> LeibnizTable:
+def leibniz_coefficients(n: int) -> LeibnizTable:
     """Iterate the product rule symbolically on n free factors.
 
     delta^n(b_1...b_n) = sum over (j_1..j_n), sum j_i = n, of
     c_{j_1..j_n} prod delta^{j_i}(b_i); the coefficient is the
     multinomial n!/(j_1!...j_n!), and in particular c_{1,...,1} = n!.
+    n is refused beyond LEIBNIZ_CAP.
     """
     if n < 1:
         raise ValueError("n is positive")
-    if n > cap:
-        raise PreconditionViolated(f"n={n} exceeds the Leibniz table cap {cap}")
+    if n > LEIBNIZ_CAP:
+        raise PreconditionViolated(f"n={n} exceeds the Leibniz table cap {LEIBNIZ_CAP}")
     table = {(0,) * n: 1}
     for _ in range(n):
         nxt: dict = {}
@@ -209,9 +204,8 @@ def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace
     ideal = principal_ideal(A, b)
     ideal_inside = all(N.contains(v) for v in ideal.basis)
     terms_ok = True
-    iterates = [b]
-    for _ in range(n):
-        iterates.append(delta.apply(A.ring, iterates[-1]))
+    iterates = delta.iterates(A.ring, b, n)
+    iterates += [A.zero()] * (n + 1 - len(iterates))
     for comp, _c in table.coefficients:
         if 0 not in comp:
             continue
@@ -223,7 +217,7 @@ def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace
             terms_ok = False
             break
     c_top = table.coefficient((1,) * n)
-    delta_b = delta.apply(A.ring, b)
+    delta_b = iterates[1]
     lead = delta_b
     for _ in range(n - 1):
         lead = A.mul(lead, delta_b)

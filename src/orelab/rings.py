@@ -143,8 +143,11 @@ def _reduce(ring: CoeffRing, coords):
 
 def _numerators(ring: CoeffRing, x):
     """(a new list of integer numerators of x over a common denominator
-    d, d); outside QQ, x's own integers over 1."""
-    if ring.kind != CoeffRing.RATIONALS:
+    d, d); outside QQ, and for a row of ints over QQ, x's own integers
+    over 1. Ring elements over QQ hold Fractions, so the first entry
+    settles the common case."""
+    if ring.kind != CoeffRing.RATIONALS or (
+            x and type(x[0]) is int and all(type(a) is int for a in x)):
         return list(x), 1
     ratios = [a.as_integer_ratio() for a in x]
     d = lcm(*[e for _, e in ratios])

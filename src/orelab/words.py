@@ -223,10 +223,12 @@ def weight(u) -> int:
     return kernels.weight(as_word(u).letters)
 
 
-def weight_bruteforce(u, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
-    """Reference oracle: exact minimum over all n! permutations."""
+def weight_bruteforce(u) -> int:
+    """Reference oracle: exact minimum over all n! permutations, refused
+    beyond DEFAULT_FACTORIAL_CAP letters."""
     u = as_word(u)
     n = len(u)
+    cap = DEFAULT_FACTORIAL_CAP
     if n > cap:
         raise FactorialCapExceeded(
             f"word length {n} exceeds the factorial cap {cap}"
@@ -510,9 +512,7 @@ def _oracle_chunk_ok(args) -> bool:
 
 
 def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
-                     max_letter: int,
-                     budget: int = DEFAULT_ORACLE_BUDGET,
-                     workers: int = 1) -> int | None:
+                     max_letter: int, workers: int = 1) -> int | None:
     """Smallest n <= max_n such that every k-valid, b-bounded word of
     length n over letters 0..max_letter has a d-decreasing subword; None
     when no such n exists within max_n. Letters above k*C(n+1,2) cannot
@@ -525,8 +525,9 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     vacuously settled when the tail extends and b_{L-1} <= n (no word of
     that length is bounded). Without the tail, a length whose letters
     reach L raises InsufficientBoundData: (L, 0, ..., 0) is k-valid and
-    b cannot judge it. The budget counts the words before pruning, over
-    the lengths before the first vacuously settled one.
+    b cannot judge it. The budget DEFAULT_ORACLE_BUDGET counts the words
+    before pruning, over the lengths before the first vacuously settled
+    one.
 
     workers > 1 partitions the enumeration by first letter across
     processes, at most os.cpu_count() of them; the aggregate is
@@ -545,6 +546,7 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
             break  # the search returns here without enumerating
         caps[n] = min(max_letter, k * (n * (n + 1) // 2))
         total += (caps[n] + 1) ** n
+    budget = DEFAULT_ORACLE_BUDGET
     if total > budget:
         raise BudgetExceeded(
             f"oracle would enumerate {total} words, budget is {budget}"

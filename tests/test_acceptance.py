@@ -242,7 +242,7 @@ def test_criterion_7_nilpotency_pipeline_desk_instance():
             t0 = T[rng.randrange(3)]
             t1 = T[rng.randrange(3)]
             S.append(DiffPoly(A, [t0, t1]))
-        rep = minimal_nilpotency(A, D, S, cap=10, theorem_bound_value=N)
+        rep = minimal_nilpotency(A, D, S, cap=10)
         assert rep.minimal_N is not None
         assert rep.minimal_N <= N
     report(7, f"b-sequence {bseq.prefix}, theorem bound N={N}, 20 random sets "
@@ -292,11 +292,12 @@ def test_criterion_10_leibniz_table():
             lhs = A.product(bs)
             for _ in range(n):
                 lhs = D.apply(A.ring, lhs)
+            chains = [D.iterates(A.ring, b, n) for b in bs]
             rhs = A.zero()
             for comp, c in table.coefficients:
                 term = None
-                for b, j in zip(bs, comp):
-                    factor = D.power_apply(A.ring, b, j)
+                for chain, j in zip(chains, comp):
+                    factor = chain[j] if j < len(chain) else A.zero()
                     term = factor if term is None else A.mul(term, factor)
                 rhs = A.add(rhs, A.scale_int(c, term))
             assert lhs == rhs, (n, bs)

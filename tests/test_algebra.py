@@ -167,6 +167,32 @@ def test_inner_derivation_kills_its_element(rng):
             assert A.is_zero_elem(D.apply(A.ring, u))
 
 
+def test_derivation_iterates_stop_before_first_zero(rng):
+    upper = strictly_upper_3x3()
+    ad = inner_derivation(upper, upper.basis_element(0))
+    e12, e13, e23 = (upper.basis_element(i) for i in range(3))
+    assert ad.iterates(upper.ring, e23, 5) == [e23, e13]
+    assert ad.iterates(upper.ring, e23, 0) == [e23]
+    assert ad.iterates(upper.ring, e12, 5) == [e12]
+    charp, d = charp_truncated(3)
+    one, t, t2 = (charp.basis_element(i) for i in range(3))
+    assert d.iterates(charp.ring, t2, 5) == [t2, charp.scale_int(2, t), charp.scale_int(2, one)]
+    assert d.iterates(charp.ring, t2, 1) == [t2, charp.scale_int(2, t)]
+    for A, D in ((upper, ad), (charp, d), charp_truncated(5)):
+        assert D.iterates(A.ring, A.zero(), 4) == []
+        for _ in range(20):
+            x = random_element(A, rng)
+            order = rng.randint(0, 6)
+            chain = D.iterates(A.ring, x, order)
+            assert len(chain) <= order + 1
+            assert chain[:1] == ([] if A.is_zero_elem(x) else [x])
+            assert not any(A.is_zero_elem(y) for y in chain)
+            for prev, nxt in zip(chain, chain[1:]):
+                assert nxt == D.apply(A.ring, prev)
+            if chain and len(chain) <= order:
+                assert A.is_zero_elem(D.apply(A.ring, chain[-1]))
+
+
 def test_leibniz_holds_on_random_pairs(rng):
     A = upper_2x2()
     D = random_derivation(A, rng)

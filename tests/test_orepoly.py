@@ -29,7 +29,6 @@ from orelab.orepoly import (
     mul_x_left,
     ore_multiply,
     rewrite_product,
-    set_power_dimension,
     theorem_bound,
 )
 from orelab.rings import QQ, ZZ
@@ -194,19 +193,17 @@ def test_rewrite_round_trip_exhaustive(k, rng):
 
 # --- spans of polynomial sets -------------------------------------------------
 
-def test_set_power_dimension_examples():
+def test_power_dims_examples():
     A = strictly_upper_3x3()
     D0 = zero_derivation(A)
     S = [DiffPoly(A, [A.basis_element(0), A.basis_element(2)])]  # e12 + e23 x
-    assert set_power_dimension(A, D0, S, 1) == 1
-    assert set_power_dimension(A, D0, S, 2) == 1
-    assert set_power_dimension(A, D0, S, 3) == 0
-    assert set_power_dimension(A, D0, S, 5) == 0
+    assert minimal_nilpotency(A, D0, S, 1).power_dims == (1, 1)
+    assert minimal_nilpotency(A, D0, S, 5).power_dims == (1, 1, 0)
 
     sq = square_zero(1)
     Dsq = zero_derivation(sq)
     Ssq = [DiffPoly(sq, [sq.zero(), sq.basis_element(0)])]
-    assert set_power_dimension(sq, Dsq, Ssq, 2) == 0
+    assert minimal_nilpotency(sq, Dsq, Ssq, 5).power_dims == (1, 0)
 
 
 def test_minimal_nilpotency_examples():
@@ -223,7 +220,7 @@ def test_minimal_nilpotency_examples():
     unital = truncated_polynomial(QQ, 2)
     one = [DiffPoly.constant(unital, unital.basis_element(0))]
     rep2 = minimal_nilpotency(unital, zero_derivation(unital), one, 3)
-    assert rep2.minimal_N is None and rep2.cap_exceeded
+    assert rep2.minimal_N is None and rep2.power_dims == (1, 1, 1, 1)
 
 
 def test_theorem_bound_pipeline():
@@ -234,7 +231,7 @@ def test_theorem_bound_pipeline():
     assert N >= 1
     # sampled S inside T + Tx verify below the bound
     S = [DiffPoly(A, [T[0], T[2]]), DiffPoly(A, [T[1], T[0]])]
-    rep = minimal_nilpotency(A, D, S, 8, theorem_bound_value=N)
+    rep = minimal_nilpotency(A, D, S, 8)
     assert rep.minimal_N is not None and rep.minimal_N <= N
 
 
@@ -281,13 +278,6 @@ def test_locally_nilpotent_sets_terminate(rng):
     for D, S in _random_sets(A, rng):
         rep = minimal_nilpotency(A, D, S, 12)
         assert rep.minimal_N is not None
-
-
-def test_power_dims_match_set_power_dimension(rng):
-    A = strictly_upper_3x3()
-    for D, S in _random_sets(A, rng):
-        dims = minimal_nilpotency(A, D, S, 12).power_dims
-        assert list(dims) == [set_power_dimension(A, D, S, m) for m in range(1, len(dims) + 1)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -350,4 +340,4 @@ def test_power_span_cap_raises_budget_exceeded(monkeypatch):
     S = [DiffPoly.constant(A, e12), DiffPoly.constant(A, e23)]
     with pytest.raises(BudgetExceeded, match="span dimension 2 exceeds cap 1"):
         minimal_nilpotency(A, D0, S, 4)
-    assert set_power_dimension(A, D0, S, 1) == 2
+    assert minimal_nilpotency(A, D0, S, 0).power_dims == (2,)

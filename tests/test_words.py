@@ -433,22 +433,27 @@ def test_oracle_within_bound_small_grid():
         assert val <= compute_bounds(2, b, 1, 1).N
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    import orelab.words as words_mod
     from orelab.errors import BudgetExceeded
 
+    monkeypatch.setattr(words_mod, "DEFAULT_ORACLE_BUDGET", 1000)
     with pytest.raises(BudgetExceeded):
-        minimal_N_oracle(2, BoundSequence((2, 7)), 3, max_n=12, max_letter=9, budget=1000)
+        minimal_N_oracle(2, BoundSequence((2, 7)), 3, max_n=12, max_letter=9)
 
 
-def test_oracle_prices_lengths_before_the_first_vacuous_one():
+def test_oracle_prices_lengths_before_the_first_vacuous_one(monkeypatch):
+    import orelab.words as words_mod
     from orelab.errors import BudgetExceeded
 
     # length 3 is vacuous (b_1 = 3) and returned without enumeration, so
     # 4 + 10^2 words are priced, not the 10^12 of length 12
     b = BoundSequence((2, 3))
-    assert minimal_N_oracle(2, b, 3, max_n=12, max_letter=9, budget=104) == 3
+    monkeypatch.setattr(words_mod, "DEFAULT_ORACLE_BUDGET", 104)
+    assert minimal_N_oracle(2, b, 3, max_n=12, max_letter=9) == 3
+    monkeypatch.setattr(words_mod, "DEFAULT_ORACLE_BUDGET", 103)
     with pytest.raises(BudgetExceeded):
-        minimal_N_oracle(2, b, 3, max_n=12, max_letter=9, budget=103)
+        minimal_N_oracle(2, b, 3, max_n=12, max_letter=9)
 
 
 def test_oracle_non_vacuous_value():
