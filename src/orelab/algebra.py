@@ -285,30 +285,6 @@ class MultilinearIdentity:
         object.__setattr__(self, "coefficients", tuple(sorted(items)))
 
 
-def find_unit(A: Algebra):
-    """Coordinates of the two-sided identity element, or None.
-
-    The declared basis unit is used when present; otherwise the linear
-    system e*e_j = e_j*e = e_j is solved over the coefficient field.
-    """
-    if A.unit is not None:
-        return A.basis_element(A.unit)
-    if not A.ring.is_field:
-        raise ValueError("unit search implemented over fields only")
-    from .linalg import solve_linear
-
-    rows = []
-    rhs = []
-    one, zero = A.ring.one, A.ring.zero
-    for j in range(A.rank):
-        for k in range(A.rank):
-            rows.append(tuple(A.basis_product(i, j)[k] for i in range(A.rank)))
-            rhs.append(one if j == k else zero)
-            rows.append(tuple(A.basis_product(j, i)[k] for i in range(A.rank)))
-            rhs.append(one if j == k else zero)
-    return solve_linear(rows, rhs, A.ring)
-
-
 def _leibniz_terms(A: Algebra, rows, cols):
     """The Leibniz residual D(e_i e_j) - D(e_i) e_j - e_i D(e_j), term by
     term, over the algebra's integer rows.

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import catalog
@@ -527,7 +528,10 @@ def cmd_examples(args) -> int:
 # --- entry point --------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and main may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="orelab",
         description="Exact-arithmetic workbench for differential polynomial rings",

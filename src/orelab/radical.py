@@ -1,6 +1,7 @@
 """Nil radicals, derivation stability, and the iterated-Leibniz table.
 
-Characteristic zero gets a computed radical (trace form of the regular
+Over the rationals every finite-rank algebra, with or without a unit,
+gets a computed radical (the kernel of the trace form of the regular
 representation); positive characteristic gets verification of supplied
 candidates. Stability checks reproduce the derivation-invariance of the
 radical in characteristic zero and its failure mod p.
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .algebra import Algebra, Derivation, find_unit, nilpotency_index
+from .algebra import Algebra, Derivation, nilpotency_index
 from .errors import PreconditionViolated, VerificationFailed
 from .linalg import Subspace, nullspace
 from .rings import CoeffRing
@@ -40,16 +41,18 @@ class StabilityResult:
 
 
 def radical_char0(A: Algebra) -> RadicalReport:
-    """Nil radical of a unital algebra over the rationals.
+    """Nil radical of a finite-rank algebra over the rationals, unital or not.
 
-    In characteristic zero the radical is the kernel of the trace form
-    B(x, y) = trace(L_{xy}) of the regular representation. The result is
-    re-verified as a nil ideal before returning.
+    The radical is the kernel of the trace form B(x, y) = trace(L_{xy}) of
+    the regular representation; no unit is needed:
+    - if B(x, y) = 0 for all y, then tr L_x^m = B(x, x^(m-1)) = 0 for
+      m >= 2, so L_x is nilpotent and tr L_x = 0;
+    - on A^1 = QQ*1 + A, tr L_{x(c+y)} = c tr L_x + B(x, y) = 0, so x lies
+      in the trace-form kernel of A^1, which is J(A^1) = J(A).
+    The result is re-verified as a nil ideal before returning.
     """
     if A.ring.kind != CoeffRing.RATIONALS:
         raise PreconditionViolated("radical computation requires the rationals")
-    if find_unit(A) is None:
-        raise PreconditionViolated("radical computation requires a unital algebra")
     # on the integer structure constants C = den * c (A._rows):
     # tr L_{e_k} = sum_j c_kj^j and B(e_i, e_j) = sum_k c_ij^k tr L_{e_k},
     # so gram is den^2 * B, which has the same kernel

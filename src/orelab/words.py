@@ -539,6 +539,8 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
         raise ValueError("d is a natural number")
     if k < 1:
         raise ValueError("k is a positive integer")
+    if max_letter < 0:
+        raise ValueError("max_letter is a natural number")
     total = 0
     caps = {}
     for n in range(1, max_n + 1):

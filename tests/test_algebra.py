@@ -27,7 +27,6 @@ from orelab.algebra import (
     algebra_to_document,
     b_sequence,
     derivation_space,
-    find_unit,
     inner_derivation,
     load_algebra,
     nilpotency_index,
@@ -95,15 +94,13 @@ def test_bad_unit_rejected():
 def test_unit_accepted_and_found():
     A = truncated_polynomial(QQ, 3)
     assert A.unit == 0
-    assert find_unit(A) == A.basis_element(0)
-    # upper triangular 2x2 is unital without a basis unit
+    # upper triangular 2x2 is unital without a basis unit: e11 + e22
     U = upper_2x2()
-    u = find_unit(U)
-    assert u is not None
+    assert U.unit is None
+    u = U.add(U.basis_element(0), U.basis_element(2))
     for i in range(U.rank):
         e = U.basis_element(i)
         assert U.mul(u, e) == e and U.mul(e, u) == e
-    assert find_unit(strictly_upper_3x3()) is None
 
 
 def test_multiply_with_unit_and_mismatch():

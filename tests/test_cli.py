@@ -122,6 +122,27 @@ def test_words_bounds_budget_exceeded():
     assert res.returncode == 3
 
 
+def test_repeated_main_calls_match_single_runs(capsys, monkeypatch):
+    # one process shares one parser across calls; each call must still
+    # print what a fresh process prints
+    from orelab import cli
+
+    # argparse wraps usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("words-analyze", "2,1", "--k", "1"),
+        ("words-bounds", "--d", "1", "--k", "1", "--b", "1", "--json"),
+        ("words-bounds", "--d", "1"),
+        ("words-analyze", "3,2,1", "--decreasing", "2", "--json"),
+        ("words-analyze", "2,1", "--k", "1"),
+    ]
+    for args in calls:
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        ref = run_cli(*args)
+        assert (code, out, err) == (ref.returncode, ref.stdout, ref.stderr)
+
+
 @pytest.mark.parametrize("args", [
     ("words-analyze", "2,1", "--k", "0"),
     ("words-analyze", "2,1", "--decreasing", "-1"),
@@ -130,6 +151,7 @@ def test_words_bounds_budget_exceeded():
     ("ore-rewrite", "FILE", "--head", "e12", "--indices", "e23",
      "--exponents", "1,-1", "--k", "1"),
     ("ore-nilpotency", "FILE", "--set", "e12", "--cap", "-1"),
+    ("words-bounds", "--d", "2", "--k", "1", "--b", "2,3,4", "--oracle", "5", "-1"),
 ])
 def test_out_of_range_arguments_are_input_errors(args, tmp_path):
     if "FILE" in args:
@@ -149,6 +171,16 @@ def test_radical_check_trace_form(upper2x2_file):
     res = run_cli("radical-check", upper2x2_file, "--derivation", "inner_e11")
     assert res.returncode == 0
     assert "radical.basis0 = 1*e12" in res.stdout
+    assert "stable = True" in res.stdout
+
+
+def test_radical_check_without_unit(tmp_path):
+    run_cli("examples", "upper3strict", "--dir", str(tmp_path))
+    res = run_cli("radical-check", str(tmp_path / "upper3strict.json"),
+                  "--derivation", "inner_e12")
+    assert res.returncode == 0
+    assert "radical.dim = 3" in res.stdout
+    assert "radical.nilpotency_index = 3" in res.stdout
     assert "stable = True" in res.stdout
 
 

@@ -5,14 +5,16 @@ import math
 
 import pytest
 
-from conftest import random_derivation, random_element
+from conftest import random_conjugate, random_derivation, random_element, truncated_ideal
 
-from orelab.algebra import inner_derivation, verify_leibniz
+from orelab.algebra import Algebra, inner_derivation, unitalize, verify_leibniz
 from orelab.catalog import (
     charp_truncated,
+    full_matrix,
     scaling_derivation,
     split_pair,
     square_zero,
+    strictly_upper,
     strictly_upper_3x3,
     truncated_polynomial,
     upper_2x2,
@@ -61,11 +63,47 @@ def test_radical_truncated_polynomials():
     assert not rep.radical.contains(A.basis_element(0))
 
 
-def test_radical_requires_rationals_and_unit():
+def test_radical_requires_rationals():
     with pytest.raises(PreconditionViolated):
         radical_char0(truncated_polynomial(GF(3), 3))
-    with pytest.raises(PreconditionViolated):
-        radical_char0(strictly_upper_3x3())
+
+
+def idempotent_on_line():
+    """e*e = e, e*n = n, all other products zero: no unit (n*e = 0, so e
+    is only a left unit) and not nilpotent; its radical is span(n)."""
+    return Algebra(QQ, 2, ("e", "n"), {(0, 0): {0: QQ.one}, (0, 1): {1: QQ.one}})
+
+
+@pytest.mark.parametrize("A, index", [
+    *((strictly_upper(n), n) for n in range(2, 6)),
+    (square_zero(2), 2),
+    (truncated_ideal(5), 5),
+])
+def test_radical_of_nilpotent_algebra_is_everything(A, index):
+    rep = radical_char0(A)
+    assert rep.radical.dim == A.rank
+    assert rep.certificate.nilpotency_index == index
+
+
+def test_radical_without_unit_not_nilpotent():
+    A = idempotent_on_line()
+    rep = radical_char0(A)
+    assert rep.radical == A.span([A.basis_element(1)])
+    assert rep.certificate.nilpotency_index == 2
+
+
+def test_radical_matches_unitalization(rng):
+    algebras = [
+        *(strictly_upper(n) for n in range(2, 6)), square_zero(2), truncated_ideal(5),
+        idempotent_on_line(), upper_2x2(), split_pair(), full_matrix(2),
+        truncated_polynomial(QQ, 4),
+    ]
+    for A in algebras:
+        for B in (A, random_conjugate(A, rng), random_conjugate(A, rng)):
+            J = radical_char0(B).radical
+            U = unitalize(B)
+            # A sits in the unitalization at coordinates 1..r
+            assert U.span([(QQ.zero,) + tuple(v) for v in J.basis]) == radical_char0(U).radical
 
 
 def test_radical_quotient_semiprime():

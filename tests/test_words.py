@@ -462,9 +462,9 @@ def test_oracle_non_vacuous_value():
 
 def test_oracle_rejects_bad_parameters():
     b = BoundSequence((2, 3))
-    for d, k in ((-1, 1), (2, 0), (2, -1)):
+    for d, k, max_letter in ((-1, 1, 2), (2, 0, 2), (2, -1, 2), (2, 1, -1)):
         with pytest.raises(ValueError):
-            minimal_N_oracle(d, b, k, max_n=3, max_letter=2)
+            minimal_N_oracle(d, b, k, max_n=3, max_letter=max_letter)
 
 
 def test_oracle_checks_only_unpruned_words(monkeypatch):
