@@ -102,7 +102,12 @@ class Algebra:
     def linear_combination(self, pairs):
         """Sum of m * x over (integer m, element x) pairs, with one exact
         reduction per coordinate."""
-        terms = [(m, *_numerators(self.ring, x)) for m, x in pairs if m]
+        return self._combine_num([(m, *_numerators(self.ring, x)) for m, x in pairs if m])
+
+    def _combine_num(self, terms):
+        """Sum of m * nums / den over (integer m, numerators nums,
+        denominator den) triples, as a ring element: the numerators are
+        brought to one common denominator and reduced once per coordinate."""
         if not terms:
             return self._zero
         den = lcm(*[d for _, _, d in terms])
@@ -118,27 +123,18 @@ class Algebra:
         """Bilinear product via the structure constants.
 
         Only nonzero coordinates that meet a structure constant are
-        visited, and the loop multiplies integers. Over ZZ and GF(p) the
-        sums are reduced once per output coordinate. Over the rationals
-        each product x_i * y_j is kept as an integer ratio, the ratios are
+        visited, and the loop multiplies integers. Over ZZ and GF(p) this
+        is `_mul_num` on the elements themselves. Over the rationals each
+        product x_i * y_j is kept as an integer ratio, the ratios are
         brought to one common denominator, and one Fraction is built per
         nonzero output coordinate.
         """
         if len(x) != self.rank or len(y) != self.rank:
             raise RankMismatch("element length does not match algebra rank")
+        if self.ring.kind != CoeffRing.RATIONALS:
+            return self._mul_num(x, 1, y, 1)[0]
         rows = self._rows
         acc = [0] * self.rank
-        if self.ring.kind != CoeffRing.RATIONALS:
-            for i, a in enumerate(x):
-                row = rows[i]
-                if row and a:
-                    for j, consts in row:
-                        b = y[j]
-                        if b:
-                            f = a * b
-                            for k, c in consts:
-                                acc[k] += f * c
-            return _reduce(self.ring, acc)
         terms = []
         for i, a in enumerate(x):
             row = rows[i]
@@ -157,6 +153,23 @@ class Algebra:
             for k, c in consts:
                 acc[k] += f * c
         return _from_numerators(self.ring, acc, den * self._den)
+
+    def _mul_num(self, x, xd, y, yd):
+        """The product of x / xd and y / yd for integer numerator vectors
+        x and y, as (numerators, denominator): one integer loop over the
+        structure constants, reduced mod p over GF(p)."""
+        rows = self._rows
+        acc = [0] * self.rank
+        for i, a in enumerate(x):
+            row = rows[i]
+            if row and a:
+                for j, consts in row:
+                    b = y[j]
+                    if b:
+                        f = a * b
+                        for k, c in consts:
+                            acc[k] += f * c
+        return _reduce(self.ring, acc), xd * yd * self._den
 
     def product(self, elems):
         it = iter(elems)
@@ -230,7 +243,17 @@ class Derivation:
         object.__setattr__(self, "_rows", rows)
 
     def apply(self, ring: CoeffRing, x):
-        x, den = _numerators(ring, x)
+        return _from_numerators(ring, *self._apply_num(ring, *_numerators(ring, x)))
+
+    def iterates(self, ring: CoeffRing, x, order: int) -> list:
+        """[x, delta(x), ..., delta^order(x)], cut before the first zero
+        iterate (every later one is zero too); [] when x is zero."""
+        chain = self._iterates_num(ring, *_numerators(ring, x), order)
+        return [x] + [_from_numerators(ring, *it) for it in chain[1:]] if chain else []
+
+    def _apply_num(self, ring: CoeffRing, x, den: int):
+        """delta(x / den) for an integer numerator vector x, as
+        (numerators, denominator), reduced mod p over GF(p)."""
         acc = []
         for row in self._rows:
             s = 0
@@ -239,17 +262,16 @@ class Derivation:
                 if a:
                     s += c * a
             acc.append(s)
-        return _from_numerators(ring, acc, den * self._den)
+        return _reduce(ring, acc), den * self._den
 
-    def iterates(self, ring: CoeffRing, x, order: int) -> list:
-        """[x, delta(x), ..., delta^order(x)], cut before the first zero
-        iterate (every later one is zero too); [] when x is zero."""
-        chain = [x] if any(x) else []
+    def _iterates_num(self, ring: CoeffRing, x, den: int, order: int) -> list:
+        """`iterates` of x / den as (numerators, denominator) pairs."""
+        chain = [(x, den)] if any(x) else []
         while chain and len(chain) <= order:
-            x = self.apply(ring, x)
+            x, den = self._apply_num(ring, x, den)
             if not any(x):
                 break
-            chain.append(x)
+            chain.append((x, den))
         return chain
 
     @property

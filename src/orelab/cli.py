@@ -18,7 +18,14 @@ from functools import cache
 from pathlib import Path
 
 from . import catalog
-from .algebra import Algebra, Derivation, algebra_to_document, inner_derivation, load_algebra
+from .algebra import (
+    Algebra,
+    Derivation,
+    algebra_to_document,
+    b_sequence,
+    inner_derivation,
+    load_algebra,
+)
 from .errors import (
     BudgetExceeded,
     FactorialCapExceeded,
@@ -27,6 +34,7 @@ from .errors import (
 )
 from .orepoly import (
     DiffPoly,
+    _theorem_bound,
     minimal_nilpotency,
     rewrite_product,
     theorem_bound,
@@ -367,11 +375,9 @@ def cmd_ore_nilpotency(args) -> int:
         T_names = args.T.split(",") if args.T else list(A.basis_names)
         T = [A.basis_element(_basis_index(A, s)) for s in T_names]
         _check_set_in_span(A, S, A.span(T), args.k)
-        from .algebra import b_sequence
-
         bseq = b_sequence(A, delta, T)
         rep.add("b_sequence", ",".join(map(str, bseq.prefix)))
-        bound_value = theorem_bound(A, delta, T, args.k, identities[args.bound])
+        bound_value = _theorem_bound(A, identities[args.bound], args.k, lambda: bseq)
         rep.add("theorem_bound", bound_value)
     result = minimal_nilpotency(A, delta, S, args.cap)
     if (bound_value is not None and result.minimal_N is not None

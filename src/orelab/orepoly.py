@@ -15,6 +15,7 @@ from math import comb
 from .algebra import Algebra, Derivation, MultilinearIdentity, b_sequence, verify_identity
 from .errors import BudgetExceeded, ExponentTooLarge, IdentityFails
 from .linalg import Subspace
+from .rings import _numerators
 from .words import Word, compute_bounds
 
 # largest span dimension a power of a polynomial set may reach before the
@@ -121,21 +122,25 @@ def mul_x_left(A: Algebra, delta: Derivation, f: DiffPoly) -> DiffPoly:
 
 def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> DiffPoly:
     """Product in A[x; delta]: x-powers commute past coefficients via the
-    binomial expansion of x^d * a."""
+    binomial expansion of x^d * a.
+
+    The products and delta-iterates are kept as integer numerators, and
+    each output coefficient is reduced once.
+    """
     if f.is_zero or g.is_zero:
         return DiffPoly.zero(A)
+    ring = A.ring
+    fnums = [_numerators(ring, fa) if any(fa) else None for fa in f.coeffs]
     by_degree = [[] for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
     for j, gb in enumerate(g.coeffs):
-        if A.is_zero_elem(gb):
-            continue
-        chain = delta.iterates(A.ring, gb, f.degree)
-        for i, fa in enumerate(f.coeffs):
-            if A.is_zero_elem(fa):
+        chain = delta._iterates_num(ring, *_numerators(ring, gb), f.degree)
+        for i, fa in enumerate(fnums):
+            if fa is None:
                 continue
             # fa x^i * gb x^j = sum_t C(i,t) fa delta^t(gb) x^(i-t+j)
             for t, cur in enumerate(chain[:i + 1]):
-                by_degree[i - t + j].append((comb(i, t), A.mul(fa, cur)))
-    return DiffPoly(A, [A.linear_combination(pairs) for pairs in by_degree])
+                by_degree[i - t + j].append((comb(i, t), *A._mul_num(*fa, *cur)))
+    return DiffPoly(A, [A._combine_num(terms) for terms in by_degree])
 
 
 def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
@@ -195,7 +200,8 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
 
     # per factor, the number of nonzero delta-iterates up to the largest
     # possible carried degree: delta^j(a) is nonzero exactly for j < reach
-    chain_len = {i: len(delta.iterates(A.ring, gens[i], sum(exps))) for i in set(gen_indices)}
+    chain_len = {i: len(delta._iterates_num(A.ring, *_numerators(A.ring, gens[i]), sum(exps)))
+                 for i in set(gen_indices)}
     reach = [chain_len[i] for i in gen_indices]
 
     budget = DEFAULT_REWRITE_BUDGET
@@ -227,27 +233,52 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
 
 def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly:
     """Sum of canonical terms as a DiffPoly; generators[i] is the element
-    a_i referenced by term indices."""
+    a_i referenced by term indices.
+
+    Terms are taken in the given order, and each one reuses the partial
+    products a_head * delta^{j_1}(a_{i_1}) * ... that it shares with the
+    term before it, so the sorted output of `rewrite_product` costs one
+    product per distinct j-prefix. A term stops at its first zero partial
+    product. Products stay integer numerators until the one reduction per
+    x-degree.
+    """
     terms = list(terms)
+    ring = A.ring
     order: dict = {}  # generator index -> highest delta-order a term asks of it
     for t in terms:
         for idx, j in zip(t.indices, t.jword.letters):
             if j > order.get(idx, -1):
                 order[idx] = j
-    chains = {idx: delta.iterates(A.ring, A.element(generators[idx]), j)
+    chains = {idx: delta._iterates_num(ring, *_numerators(ring, A.element(generators[idx])), j)
               for idx, j in order.items()}
     by_degree: dict = {}
+    # the previous term's factors (its head, then (index, j) pairs) and the
+    # partial product over each prefix of them: (numerators, denominator),
+    # or None once the product is zero
+    path: list = []
+    prods: list = []
     for t in terms:
-        elem = A.element(generators[t.head])
-        for idx, j in zip(t.indices, t.jword.letters):
-            chain = chains[idx]
-            if j >= len(chain):  # delta^j(a) = 0
-                elem = A.zero()
+        key = (t.head, *zip(t.indices, t.jword.letters))
+        s = 0
+        while s < min(len(key), len(path)) and key[s] == path[s]:
+            s += 1
+        del path[s:], prods[s:]
+        for s in range(s, len(key)):
+            if s == 0:
+                cur = _numerators(ring, A.element(generators[t.head]))
+            elif prods[-1] is None:
                 break
-            elem = A.mul(elem, chain[j])
-        by_degree.setdefault(t.xdeg, []).append((t.coeff, elem))
+            else:
+                idx, j = key[s]
+                chain = chains[idx]
+                # delta^j(a) = 0 for j past the chain
+                cur = A._mul_num(*prods[-1], *chain[j]) if j < len(chain) else None
+            path.append(key[s])
+            prods.append(cur if cur is not None and any(cur[0]) else None)
+        if prods[-1] is not None and t.coeff:
+            by_degree.setdefault(t.xdeg, []).append((t.coeff, *prods[-1]))
     top = max(by_degree, default=-1)
-    return DiffPoly(A, [A.linear_combination(by_degree.get(d, ())) for d in range(top + 1)])
+    return DiffPoly(A, [A._combine_num(by_degree.get(d, ())) for d in range(top + 1)])
 
 
 def direct_product(A: Algebra, delta: Derivation, generators, head: int,
@@ -316,6 +347,8 @@ class NilpotencyReport:
 
 def minimal_nilpotency(A: Algebra, delta: Derivation, S, cap: int) -> NilpotencyReport:
     """Least N <= cap with every (N+1)-fold product of S zero."""
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     dims = tuple(dim for _, dim in zip(range(cap + 1), _power_dims(A, delta, S)))
     return NilpotencyReport(len(dims) - 1 if dims and dims[-1] == 0 else None, dims)
 
@@ -327,8 +360,13 @@ def theorem_bound(A: Algebra, delta: Derivation, T, k: int,
     Needs the identity to hold and every span(T_n) nilpotent; returns the
     N with S^(N+1) = 0 from the bound recursion at eps = 1.
     """
+    return _theorem_bound(A, ident, k, lambda: b_sequence(A, delta, T))
+
+
+def _theorem_bound(A: Algebra, ident: MultilinearIdentity, k: int, bseq) -> int:
+    """theorem_bound with the b-sequence of T given by the callable bseq,
+    which is called only once the identity is known to hold."""
     ok, witness = verify_identity(A, ident)
     if not ok:
         raise IdentityFails(witness)
-    b = b_sequence(A, delta, T)
-    return compute_bounds(ident.degree, b, k, 1).N
+    return compute_bounds(ident.degree, bseq(), k, 1).N

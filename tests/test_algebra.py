@@ -190,6 +190,42 @@ def test_derivation_iterates_stop_before_first_zero(rng):
                 assert A.is_zero_elem(D.apply(A.ring, chain[-1]))
 
 
+def _repeated_apply(A, D, x, steps):
+    chain = [x]
+    for _ in range(steps):
+        chain.append(D.apply(A.ring, chain[-1]))
+    return chain
+
+
+def test_iterates_match_repeated_apply(rng):
+    """Forty delta-steps on unreduced integer numerators give the canonical
+    values of forty apply calls: over QQ with a derivation of a random
+    conjugate whose iterates have denominators > 1, and over GF(7) with the
+    inner derivation by an element with distinct diagonal entries."""
+    cases = []
+    for _ in range(20):
+        A = random_conjugate(upper_2x2(), rng)
+        D = random_derivation(A, rng)
+        x = random_element(A, rng)
+        chain = _repeated_apply(A, D, x, 40)
+        if all(any(y) for y in chain) and any(a.denominator > 1 for y in chain for a in y):
+            cases.append((A, D, x))
+            break
+    assert cases, "no non-nilpotent derivation with fractional iterates drawn"
+    A = upper_2x2(GF(7))
+    D = inner_derivation(A, (3, 5, 1))
+    cases.append((A, D, (1, 1, 0)))
+    for A, D, x in cases:
+        expected = _repeated_apply(A, D, x, 40)
+        chain = D.iterates(A.ring, x, 40)
+        assert len(chain) == 41 and chain == expected
+        for got, want in zip(chain[1:], expected[1:]):
+            assert [type(a) for a in got] == [type(a) for a in want]
+        assert D.iterates(A.ring, x, 17) == expected[:18]
+    # delta(x) = 28 e12, zero only mod 7
+    assert D.iterates(A.ring, (2, 4, 6), 40) == [(2, 4, 6)]
+
+
 def test_leibniz_holds_on_random_pairs(rng):
     A = upper_2x2()
     D = random_derivation(A, rng)

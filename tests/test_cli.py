@@ -212,6 +212,44 @@ def test_ore_nilpotency_with_bound(tmp_path):
     assert "minimal_le_bound = True" in res.stdout
 
 
+def test_ore_nilpotency_bound_computes_b_sequence_once(tmp_path, monkeypatch, capsys):
+    from orelab import algebra, cli, orepoly
+
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return algebra.b_sequence(*args)
+
+    monkeypatch.setattr(cli, "b_sequence", counted)
+    monkeypatch.setattr(orepoly, "b_sequence", counted)
+    rc = cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
+                   "--set", "e12 + e23*x", "--bound", "vanish3",
+                   "--derivation", "inner_e12"])
+    out = capsys.readouterr().out
+    assert rc == 0 and len(calls) == 1
+    assert "b_sequence = " in out and "minimal_le_bound = True" in out
+
+
+def test_ore_nilpotency_bound_reports_non_nilpotent_span_first(tmp_path, capsys):
+    """When span(T) is not nilpotent and the identity fails too, the span
+    is reported; with a nilpotent T the identity failure is."""
+    from orelab import cli
+
+    path = tmp_path / "upper2x2.json"
+    path.write_text(json.dumps(dict(UPPER2X2, identities={"vanish2": {"degree": 2}})))
+    args = ["ore-nilpotency", str(path), "--set", "e12 + e12*x", "--bound", "vanish2",
+            "--derivation", "inner_e11"]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "span of T_0 is not nilpotent" in err
+    assert cli.main(args + ["--T", "e12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "multilinear identity fails on basis tuple (0, 0)" in err
+
+
 def test_ore_nilpotency_bound_rejects_set_outside_hypothesis(tmp_path):
     run_cli("examples", "upper3strict", "--dir", str(tmp_path))
     path = str(tmp_path / "upper3strict.json")
@@ -262,7 +300,8 @@ def test_ore_nilpotency_bound_below_minimal_is_a_verdict(tmp_path, monkeypatch, 
 
     assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "theorem_bound", lambda *args, **kwargs: 1)
+    # the command computes the bound from its own b-sequence
+    monkeypatch.setattr(cli, "_theorem_bound", lambda *args, **kwargs: 1)
     rc = cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
                    "--set", "e12 + e23*x", "--bound", "vanish3",
                    "--derivation", "inner_e12"])

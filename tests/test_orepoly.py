@@ -10,6 +10,7 @@ from orelab import orepoly
 
 from orelab.algebra import inner_derivation, verify_leibniz
 from orelab.catalog import (
+    charp_truncated,
     scaling_derivation,
     square_zero,
     strictly_upper,
@@ -20,7 +21,9 @@ from orelab.catalog import (
 )
 from orelab.errors import BudgetExceeded, ExponentTooLarge, IdentityFails, NotNilpotent
 from orelab.orepoly import (
+    CanonicalTerm,
     DiffPoly,
+    NilpotencyReport,
     commute_xd,
     direct_product,
     dp_add,
@@ -31,8 +34,8 @@ from orelab.orepoly import (
     rewrite_product,
     theorem_bound,
 )
-from orelab.rings import QQ, ZZ
-from orelab.words import is_k_valid
+from orelab.rings import GF, QQ, ZZ
+from orelab.words import Word, is_k_valid
 
 
 def zero_derivation(A):
@@ -191,6 +194,109 @@ def test_rewrite_round_trip_exhaustive(k, rng):
                     assert lhs == rhs
 
 
+# --- prefix-shared evaluation against a per-term reference -------------------
+
+def _per_term_evaluate(A, D, gens, terms):
+    """Each term as its own A.mul chain over repeated apply calls, summed
+    per x-degree by linear_combination."""
+    by_degree = {}
+    for t in terms:
+        elem = gens[t.head]
+        for idx, j in zip(t.indices, t.jword.letters):
+            factor = gens[idx]
+            for _ in range(j):
+                factor = D.apply(A.ring, factor)
+            elem = A.mul(elem, factor)
+        by_degree.setdefault(t.xdeg, []).append((t.coeff, elem))
+    top = max(by_degree, default=-1)
+    return DiffPoly(A, [A.linear_combination(by_degree.get(d, ())) for d in range(top + 1)])
+
+
+def _qq_evaluation_cases(rng):
+    # random conjugates whose derivation matrix has an entry with a
+    # denominator > 1
+    for base in (strictly_upper_3x3(), upper_2x2(), truncated_polynomial(QQ, 3)):
+        while True:
+            A = random_conjugate(base, rng)
+            D = random_derivation(A, rng)
+            if any(c.denominator > 1 for row in D.matrix for c in row):
+                yield A, D
+                break
+
+
+def _zz_evaluation_cases(rng):
+    for A in (strictly_upper_3x3(ZZ), upper_2x2(ZZ)):
+        yield A, inner_derivation(A, tuple(rng.randint(-3, 3) for _ in range(A.rank)))
+
+
+def _gf_evaluation_cases(rng):
+    yield charp_truncated(3)
+    yield charp_truncated(5)
+    A = upper_2x2(GF(5))
+    yield A, inner_derivation(A, tuple(rng.randrange(5) for _ in range(A.rank)))
+
+
+@pytest.mark.parametrize("cases", [_qq_evaluation_cases, _zz_evaluation_cases,
+                                   _gf_evaluation_cases], ids=["QQ", "ZZ", "GF"])
+def test_evaluate_terms_matches_per_term_reference(cases, rng):
+    """Terms of several rewrites with mixed heads and indices, random
+    terms and repeats, shuffled: the prefix-shared sum equals the per-term
+    one in any order."""
+    for A, D in cases(rng):
+        gens = [A.basis_element(i) for i in range(A.rank)]
+        gens += [random_element(A, rng), A.zero()]
+        for _ in range(6):
+            terms = []
+            for _ in range(4):
+                k, n = rng.randint(1, 2), rng.randint(1, 3)
+                head = rng.randrange(len(gens))
+                idx = [rng.randrange(len(gens)) for _ in range(n)]
+                exps = [rng.randint(0, k) for _ in range(n + 1)]
+                terms += rewrite_product(A, D, gens, head, idx, exps, k)
+            for _ in range(6):
+                n = rng.randint(1, 3)
+                terms.append(CanonicalTerm(
+                    rng.randint(-3, 3), rng.randrange(len(gens)),
+                    tuple(rng.randrange(len(gens)) for _ in range(n)),
+                    Word(rng.randint(0, 3) for _ in range(n)), rng.randint(0, 3),
+                ))
+            terms += terms[:3]
+            rng.shuffle(terms)
+            expected = _per_term_evaluate(A, D, gens, terms)
+            assert evaluate_terms(A, D, gens, terms) == expected
+            assert evaluate_terms(A, D, gens, sorted(terms, key=CanonicalTerm.key)) == expected
+
+
+def test_evaluate_terms_stops_at_a_zero_prefix(monkeypatch):
+    """A term stops at its first zero partial product, and the terms after
+    it reuse that zero or recompute from the first factor that differs."""
+    A = strictly_upper_3x3(ZZ)  # e12 e23 = e13 is the only nonzero product
+    D = inner_derivation(A, A.basis_element(0))  # e23 -> e13 -> 0, e12 -> 0
+    gens = [A.basis_element(i) for i in range(3)]
+    e12, e13, e23 = 0, 1, 2
+
+    def term(head, factors, xdeg=0, coeff=1):
+        return CanonicalTerm(coeff, head, tuple(i for i, _ in factors),
+                             Word(j for _, j in factors), xdeg)
+
+    terms = [
+        term(e12, [(e23, 0), (e12, 0), (e23, 0)]),  # e13 e12 = 0: 2 products
+        term(e12, [(e23, 0), (e12, 0), (e13, 0)]),  # same zero prefix: none
+        term(e12, [(e23, 0)], coeff=2),  # prefix of the terms before: none
+        term(e12, [(e23, 1), (e23, 0)]),  # e12 delta(e23) = e12 e13 = 0: 1
+        term(e12, [(e23, 2), (e23, 0)], xdeg=1),  # delta^2(e23) = 0: none
+        term(e23, [(e23, 0)], xdeg=1),  # new head: 1
+        term(e12, [(e23, 0)], xdeg=2, coeff=-3),  # new head again: 1
+    ]
+    calls = []
+    mul_num = A._mul_num
+    monkeypatch.setattr(A, "_mul_num", lambda *args: calls.append(args) or mul_num(*args))
+    got = evaluate_terms(A, D, gens, terms)
+    assert len(calls) == 5
+    assert got.coeffs == ((0, 2, 0), (0, 0, 0), (0, -3, 0))
+    assert got == _per_term_evaluate(A, D, gens, terms)
+
+
 # --- spans of polynomial sets -------------------------------------------------
 
 def test_power_dims_examples():
@@ -221,6 +327,15 @@ def test_minimal_nilpotency_examples():
     one = [DiffPoly.constant(unital, unital.basis_element(0))]
     rep2 = minimal_nilpotency(unital, zero_derivation(unital), one, 3)
     assert rep2.minimal_N is None and rep2.power_dims == (1, 1, 1, 1)
+
+
+def test_minimal_nilpotency_rejects_negative_cap():
+    A = strictly_upper_3x3()
+    D0 = zero_derivation(A)
+    S = [DiffPoly(A, [A.basis_element(0), A.basis_element(2)])]
+    with pytest.raises(ValueError, match="cap"):
+        minimal_nilpotency(A, D0, S, -1)
+    assert minimal_nilpotency(A, D0, S, 0) == NilpotencyReport(None, (1,))
 
 
 def test_theorem_bound_pipeline():
