@@ -6,6 +6,7 @@ exact integer arithmetic, so arbitrarily large letters are fine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, chain
 
 CMP_EQUAL = 0
@@ -64,10 +65,14 @@ def b_bounded(letters, prefix, extend_tail: bool) -> int:
     letters <= m stays below b_m. Entries beyond the max letter force
     b_m > n. Determination is required for every m up to the max letter.
 
-    One monotone-stack pass finds, for each position, the widest run of
-    letters <= its letter through it; the longest run of letters <= m is
-    the running max of those widths over letters 0..m. Letters above the
-    last prefix index are walls for every m checked against the prefix.
+    For m up to top = min(max letter, last prefix index) the runs are
+    measured by one of two paths, chosen from the input alone. A word of
+    at least 64 letters whose letters <= top take at most 255 distinct
+    values goes through the byte path (`_runs_short_bytes`): C-level
+    scans of one byte mask per distinct letter. Every other word goes
+    through the monotone-stack path (`_runs_short_stack`): one Python
+    pass over the letters, cheaper on short words and the only one that
+    serves wide alphabets. Both give the same answer on every input.
     """
     n = len(letters)
     mx = max(letters)
@@ -75,6 +80,29 @@ def b_bounded(letters, prefix, extend_tail: bool) -> int:
     if not extend_tail and L <= mx:
         return -1
     top = mx if mx < L - 1 else L - 1
+    short = _runs_short_bytes(letters, prefix, top) if n >= 64 else None
+    if short is None:
+        short = _runs_short_stack(letters, prefix, top)
+    if not short:
+        return 0
+    # for m > mx the whole word is one run of letters <= m, so b_m must
+    # exceed n; with the tail that takes in every m >= L through b_{L-1}
+    for m in range(mx + 1, L):
+        if prefix[m] <= n:
+            return 0
+    if extend_tail and prefix[L - 1] <= n:
+        return 0
+    return 1
+
+
+def _runs_short_stack(letters, prefix, top: int) -> bool:
+    """Whether the longest run of letters <= m is below b_m for every
+    m <= top; letters above top are walls.
+
+    One monotone-stack pass finds, for each position, the widest run of
+    letters <= its letter through it; the longest run of letters <= m is
+    the running max of those widths over letters 0..m.
+    """
     wall = top + 1
     widest = [0] * wall
     # (letter, position) pairs with letters non-increasing from a bottom
@@ -95,14 +123,49 @@ def b_bounded(letters, prefix, extend_tail: bool) -> int:
         tv, tp = v, i
     for bm, best in zip(prefix, accumulate(widest, max)):
         if bm <= best:
-            return 0
-    if mx > L - 1:
-        # m in [L, mx] all use the tail value and the run eventually spans u
-        if prefix[L - 1] <= n:
-            return 0
-    for m in range(mx + 1, L):
-        if prefix[m] <= n:
-            return 0
-    if extend_tail and prefix[L - 1] <= n:
-        return 0
-    return 1
+            return False
+    return True
+
+
+_WALL = b"\x01"
+
+
+def _runs_short_bytes(letters, prefix, top: int) -> bool | None:
+    """As `_runs_short_stack`, or None when the letters <= top take more
+    than 255 distinct values.
+
+    The longest run of letters <= m is the same for every m from one
+    distinct letter v up to the next, so v need only be checked against
+    B(v), the least b_m over that range. The word is rank-encoded into
+    bytes once (code i for the i-th distinct letter <= top, one wall code
+    for the rest); for each v a translate gives a mask, 0 at letters <= v
+    and 1 elsewhere, which must hold no B(v) zeros in a row. Runs only
+    grow with v, so v is skipped when a higher letter's bound is no
+    larger (or when B(v) > n). A mask with few walls is split at them and
+    its longest piece measured; a dense one is searched for B(v) zeros.
+    """
+    n = len(letters)
+    vals = sorted(set(letters))
+    t = bisect_right(vals, top)
+    if t > 255:
+        return None
+    code = dict(zip(vals, range(t)))
+    code.update(dict.fromkeys(vals[t:], t))
+    enc = bytes(map(code.__getitem__, letters))
+    hi = top + 1
+    low = n + 1  # least B over the letters above v; no run exceeds n
+    for i in range(t - 1, -1, -1):
+        v = vals[i]
+        bv = min(prefix[v:hi])
+        hi = v
+        if bv >= low:
+            continue
+        low = bv
+        mask = enc.translate(bytes(i + 1) + _WALL * (255 - i))
+        # a byte search is slow on near misses, a split on many walls
+        if mask.count(1) * 32 < n:
+            if max(map(len, mask.split(_WALL))) >= bv:
+                return False
+        elif bytes(bv) in mask:
+            return False
+    return True

@@ -14,8 +14,9 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import isqrt, lcm
+from operator import index
 
 from . import _kernels as kernels
 from .errors import (
@@ -47,12 +48,16 @@ _CODE_TO_ORDERING = {
 
 @dataclass(frozen=True)
 class Word:
-    """Nonempty finite sequence of natural-number letters."""
+    """Nonempty finite sequence of natural-number letters.
+
+    Letters go through operator.index, so a float or a string letter
+    raises TypeError rather than being truncated or parsed.
+    """
 
     letters: tuple[int, ...]
 
     def __init__(self, letters):
-        letters = tuple(map(int, letters))
+        letters = tuple(map(index, letters))
         if not letters:
             raise ValueError("words are nonempty")
         if min(letters) < 0:
@@ -82,13 +87,14 @@ def as_word(u) -> Word:
 @dataclass(frozen=True)
 class BoundSequence:
     """Finite prefix b_0..b_L of positive integers, optionally extended by
-    the constant-tail rule b_m = b_L for m > L."""
+    the constant-tail rule b_m = b_L for m > L. Entries go through
+    operator.index, as Word's letters do."""
 
     prefix: tuple[int, ...]
     extend_tail: bool = True
 
     def __init__(self, prefix, extend_tail: bool = True):
-        prefix = tuple(int(b) for b in prefix)
+        prefix = tuple(map(index, prefix))
         if not prefix:
             raise ValueError("bound sequence prefix is nonempty")
         if any(b < 1 for b in prefix):
@@ -156,8 +162,7 @@ class Factorization:
 
     def reconstructs(self) -> bool:
         parts = [self.prefix, *self.blocks, self.suffix]
-        flat = tuple(a for part in parts for a in part)
-        return flat == self.word.letters
+        return tuple(chain.from_iterable(parts)) == self.word.letters
 
     def blocks_decreasing(self) -> bool:
         letters = self.word.letters
@@ -329,6 +334,8 @@ def find_d_decreasing(u, d: int) -> Factorization | None:
 def find_d_decreasing_constrained(u, d: int, eps, M: int) -> Factorization | None:
     """As find_d_decreasing, but blocks lie in the final floor(eps*n)
     letters and every block's first letter is below M."""
+    if d < 0:
+        raise ValueError("d is a natural number")
     u = as_word(u)
     eps = Fraction(eps)
     if not (0 < eps <= 1):

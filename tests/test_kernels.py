@@ -1,10 +1,16 @@
 """Word kernels against their definitions on randomized inputs."""
 
+import random
+from fractions import Fraction
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import orelab
 from orelab import _kernels
+from orelab.wordgen import arithmetic_bounds, random_valid_word
+from orelab.words import compute_bounds
 
 letters_strategy = st.lists(st.integers(0, 40), min_size=1, max_size=60).map(tuple)
 
@@ -33,3 +39,87 @@ def test_big_letters_stay_exact():
     # the run of letters <= 2^70 is the whole word, and the tail 2 <= 3
     assert _kernels.b_bounded((0, 1 << 70, 0), (2, 2), True) == 0
     assert _kernels.b_bounded((0, 1 << 70), (2, 1 << 65), False) == -1
+
+
+def test_long_words_with_big_letters():
+    big = 1 << 70
+    prefix = (2, 1 << 65)
+    # 2^70 is a wall above the prefix; runs of letters <= 0 decide
+    assert _kernels.b_bounded((0, big) * 40, prefix, True) == 1
+    assert _kernels.b_bounded((0, 0, big + 1) * 40, prefix, True) == 0
+    assert _kernels.b_bounded((0, big) * 40, prefix, False) == -1
+    # 300 distinct letters before a 2^70 wall: the longest run of letters
+    # <= m is m + 1, one below b_m = m + 2, and the tail b_300 exceeds n
+    wide = tuple(range(299, -1, -1)) + (big,)
+    arith = tuple(range(2, 303))
+    assert _kernels._runs_short_bytes(wide, arith, 300) is None
+    assert _kernels.b_bounded(wide, arith, True) == 1
+    assert _kernels.b_bounded(wide, arith[:150] + (1,) + arith[151:], True) == 0
+
+
+def test_byte_path_boundaries():
+    # b_3 = 1 lies between the letters 0 and 5 and meets the runs of 0s
+    assert _kernels.b_bounded((0, 5) * 40, (2, 2, 2, 1, 2, 81), True) == 0
+    assert _kernels.b_bounded((0, 5) * 40, (2, 2, 2, 2, 2, 81), True) == 1
+    # one wall (a split mask) and thirty (a searched one), each with its
+    # longest run of 0s exactly at the bound and one below it
+    for u, run in (((0,) * 40 + (1,) + (0,) * 39, 40), ((0, 0, 1) * 30, 2)):
+        assert _kernels.b_bounded(u, (run, len(u) + 1), True) == 0
+        assert _kernels.b_bounded(u, (run + 1, len(u) + 1), True) == 1
+
+
+def _arith_bounded(letters):
+    """Windowed reference for b_m = m + 2 with the tail: the top letter is
+    at least n - 1, and for each letter a every window of a + 2 letters
+    holds a letter above a. No other m needs a check: b_m grows with m,
+    and the runs of letters <= m are those of letters <= the largest
+    letter a <= m."""
+    n = len(letters)
+    if max(letters) < n - 1:
+        return False
+    for a in set(letters):
+        w = a + 2
+        low = [x <= a for x in letters]
+        inside = sum(low[:w])
+        if inside == w:
+            return False
+        for i in range(w, n):
+            inside += low[i] - low[i - w]
+            if inside == w:
+                return False
+    return True
+
+
+def _criterion_3_lengths():
+    """(N, k) over criterion 3's grid of d, k and eps."""
+    return sorted({
+        (compute_bounds(d, arithmetic_bounds(4096), k, eps).N, k)
+        for d in (1, 2) for k in (1, 2) for eps in (Fraction(1), Fraction(1, 2))
+    })
+
+
+@pytest.mark.parametrize("n, k", _criterion_3_lengths())
+def test_grid_words_accepted_and_lowered_walls_rejected(n, k):
+    rng = random.Random(n)
+    prefix = tuple(range(2, n + 2))
+    u = list(random_valid_word(n, k, rng))
+    assert _arith_bounded(u)
+    assert _kernels.b_bounded(u, prefix, True) == 1
+    if n >= 64:
+        assert _kernels._runs_short_bytes(u, prefix, n - 1) is True
+    # raising a letter only shortens runs, so the word stays bounded, also
+    # when the top letter goes past 2^70
+    for i in (rng.randrange(n), u.index(n - 1)):
+        raised = list(u)
+        raised[i] += 1 << 70 if u[i] == n - 1 else 1
+        assert _kernels.b_bounded(raised, prefix, True) == 1
+    # lowering the wall between two zeros makes a run of three
+    i = next(i for i in range(1, n - 1) if u[i - 1] == u[i + 1] == 0 < u[i])
+    # and lowering a high letter merges two of its gaps; the reference decides
+    j = max(range(n), key=lambda p: (u[p] < n - 1, u[p]))
+    for p in (i, j):
+        lowered = list(u)
+        lowered[p] = 0
+        expected = _arith_bounded(lowered)
+        assert p == j or not expected
+        assert _kernels.b_bounded(lowered, prefix, True) == expected

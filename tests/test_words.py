@@ -44,11 +44,24 @@ words = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(tuple)
 # --- Word ---------------------------------------------------------------
 
 def test_word_validation():
-    assert Word((1.9, "2", 0)).letters == (1, 2, 0)
+    assert Word([1, True, 0]).letters == (1, 1, 0)
     with pytest.raises(ValueError, match="words are nonempty"):
         Word(())
     with pytest.raises(ValueError, match="letters are natural numbers"):
         Word((3, -1))
+    # non-integral letters are refused, not truncated or parsed
+    for bad in ((1.7, 2), (2.0,), (Fraction(3, 2),), ("2", 0)):
+        with pytest.raises(TypeError):
+            Word(bad)
+
+
+def test_bound_sequence_validation():
+    assert BoundSequence([2, 3]).prefix == (2, 3)
+    with pytest.raises(ValueError, match="entries are >= 1"):
+        BoundSequence((2, 0))
+    for bad in ((2.5,), (2, 3.0), ("4",)):
+        with pytest.raises(TypeError):
+            BoundSequence(bad)
 
 
 # --- compare ------------------------------------------------------------
@@ -186,6 +199,55 @@ def test_b_bounded_matches_naive(u, prefix, tail):
             is_b_bounded(u, b)
     else:
         assert is_b_bounded(u, b) == _b_bounded_naive(u, b)
+
+
+def _longest_run(letters, m):
+    best = cur = 0
+    for a in letters:
+        cur = cur + 1 if a <= m else 0
+        best = max(best, cur)
+    return best
+
+
+@st.composite
+def long_bounded_cases(draw):
+    """Words of 64 letters or more with a bound sequence one letter above
+    each longest run (the tightest bounded one) and at most one entry
+    lowered onto its run. Narrow alphabets take the kernel's byte path;
+    the wide words are permutations of 256 letters or more checked
+    against prefixes that reach past 255 letters, which take its stack
+    path."""
+    tail = draw(st.booleans())
+    if draw(st.booleans()):
+        n = draw(st.integers(64, 160))
+        top = draw(st.sampled_from((1, 3, 8, 40)))
+        step = draw(st.sampled_from((1, 3)))  # 3: some m lie between letters
+        letters = st.integers(0, top).map(step.__mul__)
+        u = tuple(draw(st.lists(letters, min_size=n, max_size=n)))
+    else:
+        n = draw(st.integers(256, 300))
+        u = tuple(draw(st.permutations(range(n))))
+    # without the tail the prefix must cover the top letter; with it,
+    # letters above the prefix are walls
+    if not tail:
+        lo = max(u) + 1
+    else:
+        lo = 257 if n > 255 else 1
+    L = draw(st.integers(lo, max(u) + 3))
+    prefix = [_longest_run(u, m) + 1 for m in range(L)]
+    if tail:
+        prefix[-1] = n + 1  # the tail serves every m >= L, where the run is n
+    miss = draw(st.none() | st.integers(0, L - 1))
+    if miss is not None and prefix[miss] > 1:
+        prefix[miss] -= 1
+    return u, BoundSequence(prefix, extend_tail=tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_bounded_cases())
+def test_b_bounded_matches_naive_on_long_words(case):
+    u, b = case
+    assert is_b_bounded(u, b) == _b_bounded_naive(u, b)
 
 
 # --- decreasing factorizations -------------------------------------------
@@ -465,6 +527,11 @@ def test_oracle_rejects_bad_parameters():
     for d, k, max_letter in ((-1, 1, 2), (2, 0, 2), (2, -1, 2), (2, 1, -1)):
         with pytest.raises(ValueError):
             minimal_N_oracle(d, b, k, max_n=3, max_letter=max_letter)
+    # the decreasing searches refuse a negative d the same way
+    with pytest.raises(ValueError, match="d is a natural number"):
+        find_d_decreasing((3, 2, 1), -1)
+    with pytest.raises(ValueError, match="d is a natural number"):
+        find_d_decreasing_constrained((3, 2, 1), -1, 1, 5)
 
 
 def test_oracle_checks_only_unpruned_words(monkeypatch):
