@@ -38,7 +38,7 @@ class Algebra:
     """
 
     def __init__(self, ring: CoeffRing, rank: int, basis_names, table,
-                 unit: int | None = None, check: bool = True):
+                 unit: int | None = None):
         if rank < 1:
             raise ValueError("rank is positive")
         names = tuple(basis_names) if basis_names else tuple(f"e{i}" for i in range(rank))
@@ -64,10 +64,9 @@ class Algebra:
             )))
         self._rows = tuple(tuple(r) for r in rows)
         self._zero = (ring.zero,) * rank
-        if check:
-            self._check_associativity()
-            if unit is not None:
-                self._check_unit()
+        self._check_associativity()
+        if unit is not None:
+            self._check_unit()
 
     # --- element helpers ---
 
@@ -548,7 +547,7 @@ def unitalize(A: Algebra) -> Algebra:
     for (i, j), row in A.table.items():
         table[(i + 1, j + 1)] = {k + 1: c for k, c in row.items()}
     names = ("1",) + tuple(A.basis_names)
-    return Algebra(A.ring, r + 1, names, table, unit=0, check=False)
+    return Algebra(A.ring, r + 1, names, table, unit=0)
 
 
 # --- the algebra-definition document ------------------------------------

@@ -247,8 +247,8 @@ class Report:
     def add(self, key: str, value):
         self.items.append((key, value))
 
-    def emit(self, as_json: bool, out=None) -> None:
-        out = out or sys.stdout
+    def emit(self, as_json: bool) -> None:
+        out = sys.stdout  # looked up per call, so redirect_stdout applies
         if as_json:
             obj = {k: v for k, v in self.items}
             out.write(json.dumps(obj, sort_keys=True, indent=2))
@@ -305,10 +305,7 @@ def cmd_words_bounds(args) -> int:
         "b": args.b,
         "tail": args.tail,
         "oracle": " ".join(map(str, args.oracle)) if args.oracle else None,
-        "threads": args.threads,
     }
-    if args.threads < 1:
-        raise CliInputError(f"--threads must be at least 1, got {args.threads}")
     rep = Report("words-bounds", params)
     res = compute_bounds(args.d, b, args.k, eps)
     rep.add("M", res.M)
@@ -317,8 +314,7 @@ def cmd_words_bounds(args) -> int:
         rep.add(f"trace.level{i}", f"M1={lev.M1} N1={lev.N1} M2={lev.M2} N2={lev.N2}")
     if args.oracle:
         max_n, max_letter = args.oracle
-        val = minimal_N_oracle(args.d, b, args.k, max_n, max_letter,
-                               workers=args.threads)
+        val = minimal_N_oracle(args.d, b, args.k, max_n, max_letter)
         rep.add("oracle.minimal_N", "none" if val is None else val)
         if val is not None:
             rep.add("oracle.le_bound", val <= res.N)
@@ -563,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-tail", dest="tail", action="store_false")
     p.add_argument("--oracle", nargs=2, type=int, metavar=("MAX_N", "MAX_LETTER"),
                    default=None, help="run the exhaustive minimal-length oracle")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_words_bounds)
 

@@ -10,7 +10,6 @@ arithmetic is exact: integers and Fractions only.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -121,7 +120,8 @@ class Factorization:
 
     cuts[0] ends the prefix v; block t is [cuts[t-1], cuts[t]); the suffix
     x starts at cuts[-1]. Blocks are nonempty and strictly decreasing in
-    the prefix-lexicographic order.
+    the prefix-lexicographic order. Cuts go through operator.index, as
+    Word's letters do.
     """
 
     word: Word
@@ -129,7 +129,7 @@ class Factorization:
 
     def __init__(self, word: Word, cuts):
         word = as_word(word)
-        cuts = tuple(int(c) for c in cuts)
+        cuts = tuple(map(index, cuts))
         n = len(word)
         if not cuts:
             raise ValueError("cuts carry at least the prefix/suffix split")
@@ -418,16 +418,23 @@ def decreasing_witness(u, d: int, b: BoundSequence, k: int, eps,
     """Build the guaranteed decreasing factorization for a valid word.
 
     The word must be k-valid, b-bounded, and at least N letters long for
-    the (M, N) of compute_bounds(d, b, k, eps); these are checked. The
-    construction follows the recursion: split u = v w x with |wx| =
-    floor(eps n) and |x| = floor(eps n / 2), scan w in segments of length
-    b_{M1} for a letter in [M1, M2), then recurse on the suffix window at
-    depth d-1 with eps/2 and prepend the block starting at that letter.
+    the (M, N) of compute_bounds(d, b, k, eps); these are checked, as are
+    d, eps and the depth of a given `bounds`. The construction follows
+    the recursion: split u = v w x with |wx| = floor(eps n) and |x| =
+    floor(eps n / 2), scan w in segments of length b_{M1} for a letter in
+    [M1, M2), then recurse on the suffix window at depth d-1 with eps/2
+    and prepend the block starting at that letter.
     """
     u = as_word(u)
     eps = Fraction(eps)
+    if d < 0:
+        raise ValueError("d is a natural number")
+    if not (0 < eps <= 1):
+        raise ValueError("eps lies in (0, 1]")
     if bounds is None:
         bounds = compute_bounds(d, b, k, eps)
+    if len(bounds.trace) != d:
+        raise ValueError(f"bounds have {len(bounds.trace)} levels, d is {d}")
     n = len(u)
     if not is_k_valid(u, k):
         raise PreconditionViolated(f"word is not {k}-valid")
@@ -470,9 +477,9 @@ def _witness_cuts(letters, level: int, b: BoundSequence, eps: Fraction,
 # --- empirical minimal-length oracle -----------------------------------
 
 
-def _oracle_candidates(n: int, cap: int, first: int, limit: int, bounds):
-    """Words of length n over 0..cap starting with `first`, in
-    lexicographic order, none of whose prefixes is pruned.
+def _oracle_candidates(n: int, cap: int, limit: int, bounds):
+    """Words of length n over 0..cap, in lexicographic order, none of
+    whose prefixes is pruned.
 
     A prefix is pruned when its weight exceeds `limit` (appending a letter
     c adds c + sum(min(x, c)) to the weight, so weight never falls and that
@@ -485,8 +492,8 @@ def _oracle_candidates(n: int, cap: int, first: int, limit: int, bounds):
     low = bounds[:top + 1]
     alphabet = range(cap + 1)
 
-    def grow(prefix, w, runs, choices):
-        for c in choices:
+    def grow(prefix, w, runs):
+        for c in alphabet:
             wc = w + c + sum(min(x, c) for x in prefix)
             if wc > limit:
                 break
@@ -498,16 +505,16 @@ def _oracle_candidates(n: int, cap: int, first: int, limit: int, bounds):
             if len(word) == n:
                 yield word
             else:
-                yield from grow(word, wc, rc, alphabet)
+                yield from grow(word, wc, rc)
 
-    yield from grow((), 0, (0,) * len(low), (first,))
+    yield from grow((), 0, (0,) * len(low))
 
 
-def _oracle_chunk_ok(args) -> bool:
-    """Every valid word with the given first letter has the subword."""
-    d, b, k, n, cap, first = args
+def _oracle_length_ok(d: int, b: BoundSequence, k: int, n: int, cap: int) -> bool:
+    """Every valid word of length n over 0..cap has the subword; the walk
+    stops at the first word without it."""
     limit = k * (n * (n + 1) // 2)
-    for tup in _oracle_candidates(n, cap, first, limit, b.prefix):
+    for tup in _oracle_candidates(n, cap, limit, b.prefix):
         w = Word(tup)
         if not is_k_valid(w, k):
             continue
@@ -525,20 +532,19 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     when no such n exists within max_n. Letters above k*C(n+1,2) cannot
     occur in a k-valid word and are excluded from the enumeration.
 
-    Each length is walked depth first under a fixed first letter. A
-    prefix is dropped once its weight exceeds k*C(n+1, 2), or once it
-    holds a run of letters <= m of length >= b_m for some m < L = the
-    length of b's prefix; the words left are checked in full. A length is
-    vacuously settled when the tail extends and b_{L-1} <= n (no word of
-    that length is bounded). Without the tail, a length whose letters
-    reach L raises InsufficientBoundData: (L, 0, ..., 0) is k-valid and
-    b cannot judge it. The budget DEFAULT_ORACLE_BUDGET counts the words
-    before pruning, over the lengths before the first vacuously settled
-    one.
+    Each length is one serial walk, depth first in lexicographic order,
+    that stops at the first word without the subword. A prefix is dropped
+    once its weight exceeds k*C(n+1, 2), or once it holds a run of letters
+    <= m of length >= b_m for some m < L = the length of b's prefix; the
+    words left are checked in full. A length is vacuously settled when
+    the tail extends and b_{L-1} <= n (no word of that length is bounded).
+    Without the tail, a length whose letters reach L raises
+    InsufficientBoundData: (L, 0, ..., 0) is k-valid and b cannot judge
+    it. The budget DEFAULT_ORACLE_BUDGET counts the words before pruning,
+    over the lengths before the first vacuously settled one, and is
+    priced before any length is searched.
 
-    workers > 1 partitions the enumeration by first letter across
-    processes, at most os.cpu_count() of them; the aggregate is
-    order-independent.
+    `workers` is accepted and ignored.
     """
     if max_n < 1:
         raise ValueError("max_n is at least 1")
@@ -548,41 +554,18 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
         raise ValueError("k is a positive integer")
     if max_letter < 0:
         raise ValueError("max_letter is a natural number")
-    total = 0
-    caps = {}
-    for n in range(1, max_n + 1):
-        if b.extend_tail and b.prefix[-1] <= n:
-            break  # the search returns here without enumerating
-        caps[n] = min(max_letter, k * (n * (n + 1) // 2))
-        total += (caps[n] + 1) ** n
+    vacuous = b.prefix[-1] if b.extend_tail and b.prefix[-1] <= max_n else None
+    lengths = range(1, vacuous or max_n + 1)
+    caps = [min(max_letter, k * (n * (n + 1) // 2)) for n in lengths]
+    total = sum((cap + 1) ** n for n, cap in zip(lengths, caps))
     budget = DEFAULT_ORACLE_BUDGET
     if total > budget:
         raise BudgetExceeded(
             f"oracle would enumerate {total} words, budget is {budget}"
         )
-    workers = min(workers, os.cpu_count() or 1)
-    pool = None
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (ImportError, OSError):
-            pool = None
-    try:
-        for n in range(1, max_n + 1):
-            if b.extend_tail and b.prefix[-1] <= n:
-                return n
-            if not b.extend_tail and caps[n] >= len(b.prefix):
-                raise InsufficientBoundData(len(b.prefix), len(b.prefix))
-            chunks = [(d, b, k, n, caps[n], first) for first in range(caps[n] + 1)]
-            if pool is not None and n >= 4:
-                ok = all(pool.map(_oracle_chunk_ok, chunks))
-            else:
-                ok = all(map(_oracle_chunk_ok, chunks))
-            if ok:
-                return n
-        return None
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n, cap in zip(lengths, caps):
+        if not b.extend_tail and cap >= len(b.prefix):
+            raise InsufficientBoundData(len(b.prefix), len(b.prefix))
+        if _oracle_length_ok(d, b, k, n, cap):
+            return n
+    return vacuous

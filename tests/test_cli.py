@@ -107,11 +107,12 @@ def test_words_bounds_bad_eps():
     assert res.returncode == 2
 
 
-def test_words_bounds_rejects_nonpositive_threads():
+def test_words_bounds_has_no_threads_option():
     from orelab import cli
 
-    assert cli.main(["words-bounds", "--d", "1", "--k", "1", "--b", "2",
-                     "--oracle", "3", "2", "--threads", "0"]) == 2
+    argv = ["words-bounds", "--d", "1", "--k", "1", "--b", "2", "--oracle", "3", "2"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--threads", "2"]) == 2
 
 
 def test_words_bounds_budget_exceeded():

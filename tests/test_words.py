@@ -53,6 +53,9 @@ def test_word_validation():
     for bad in ((1.7, 2), (2.0,), (Fraction(3, 2),), ("2", 0)):
         with pytest.raises(TypeError):
             Word(bad)
+    # cuts are refused the same way
+    with pytest.raises(TypeError):
+        Factorization(Word((3, 2, 1)), (0.9, 1.5, 2.7))
 
 
 def test_bound_sequence_validation():
@@ -453,6 +456,21 @@ def test_witness_rejects_invalid_inputs():
         decreasing_witness(good, 1, arithmetic_bounds(20), 1, Fraction(1, 2))  # too short
 
 
+def test_witness_rejects_bad_parameters():
+    b = arithmetic_bounds(64)
+    bounds = compute_bounds(1, b, 1, 1)
+    u = random_valid_word(bounds.N, 1, random.Random(3))
+    assert decreasing_witness(u, 1, b, 1, 1, bounds=bounds).block_count == 1
+    # a given `bounds` does not excuse d or eps from their checks
+    for eps in (0, 2, -1):
+        with pytest.raises(ValueError, match="eps lies in"):
+            decreasing_witness(u, 1, b, 1, eps, bounds=bounds)
+    with pytest.raises(ValueError, match="d is a natural number"):
+        decreasing_witness(u, -1, b, 1, 1, bounds=bounds)
+    with pytest.raises(ValueError, match="bounds have 1 levels, d is 2"):
+        decreasing_witness(u, 2, b, 1, 1, bounds=bounds)
+
+
 def test_witness_d1_samples():
     rng = random.Random(11)
     b = arithmetic_bounds(64)
@@ -582,33 +600,22 @@ def test_oracle_matches_bruteforce(prefix, tail, d, k, max_n, max_letter):
         assert minimal_N_oracle(d, b, k, max_n, max_letter) == expected
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+def test_oracle_searches_once_per_failing_length(monkeypatch):
+    import orelab.words as words_mod
 
-    sizes: list = []
+    calls = []
+    real = words_mod.find_d_decreasing
 
-    def __init__(self, max_workers):
-        _RecordingPool.sizes.append(max_workers)
+    def recording(u, d):
+        calls.append(tuple(u))
+        return real(u, d)
 
-    def map(self, fn, items):
-        return map(fn, items)
-
-    def shutdown(self):
-        pass
-
-
-@pytest.mark.parametrize("cpus, expected_sizes", [(2, [2]), (1, []), (None, [])])
-def test_oracle_workers_clamped_to_cpu_count(monkeypatch, cpus, expected_sizes):
-    import concurrent.futures
-    import os
-
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    b = BoundSequence((2, 3, 4, 5, 6))
-    # the answer is 5, so lengths >= 4 go through the pool when there is one
-    assert minimal_N_oracle(2, b, 1, max_n=5, max_letter=4, workers=64) == 5
-    assert _RecordingPool.sizes == expected_sizes
+    monkeypatch.setattr(words_mod, "find_d_decreasing", recording)
+    # each of lengths 1..9 fails at its first valid bounded word, so the
+    # walk stops there: one search per length
+    assert minimal_N_oracle(3, BoundSequence((2, 4, 6, 8, 10)), 1, 9, 4) is None
+    assert len(calls) == 9
+    assert [len(u) for u in calls] == list(range(1, 10))
 
 
 # --- generator sanity -------------------------------------------------------
