@@ -22,7 +22,7 @@ from .errors import (
     RankMismatch,
 )
 from .linalg import Subspace
-from .rings import GF, QQ, ZZ, CoeffRing, _from_numerators, _numerators, _reduce
+from .rings import GF, QQ, ZZ, CoeffRing, _from_numerators, _numerators, _reduce, _to_ring
 from .words import BoundSequence
 
 # nonzero prefixes the identity walk may visit; each support tuple keeps a
@@ -47,12 +47,12 @@ class Algebra:
         self.ring = ring
         self.rank = rank
         self.basis_names = names
-        # table: {(i, j): {k: coeff}} with zero coefficients dropped
-        self.table = {
-            ij: {k: c for k, c in row.items() if not ring.is_zero(c)}
-            for ij, row in table.items()
-        }
-        self.table = {ij: row for ij, row in self.table.items() if row}
+        # table: {(i, j): {k: coeff}} in the ring, zero coefficients dropped
+        self.table = {}
+        for ij, row in table.items():
+            row = {k: c for k, c in zip(row, _to_ring(ring, row.values())) if c}
+            if row:
+                self.table[ij] = row
         self.unit = unit
         # mul works on integers: the table scaled by the lcm of its
         # denominators, as rows i -> ((j, ((k, c), ...)), ...)
@@ -119,39 +119,13 @@ class Algebra:
         return _from_numerators(self.ring, acc, den)
 
     def mul(self, x, y):
-        """Bilinear product via the structure constants.
-
-        Only nonzero coordinates that meet a structure constant are
-        visited, and the loop multiplies integers. Over ZZ and GF(p) this
-        is `_mul_num` on the elements themselves. Over the rationals each
-        product x_i * y_j is kept as an integer ratio, the ratios are
-        brought to one common denominator, and one Fraction is built per
-        nonzero output coordinate.
-        """
+        """Bilinear product via the structure constants, in every ring:
+        `_mul_num` on the integer numerators of x and y, and one division
+        back into the ring per coordinate (a Fraction over QQ)."""
         if len(x) != self.rank or len(y) != self.rank:
             raise RankMismatch("element length does not match algebra rank")
-        if self.ring.kind != CoeffRing.RATIONALS:
-            return self._mul_num(x, 1, y, 1)[0]
-        rows = self._rows
-        acc = [0] * self.rank
-        terms = []
-        for i, a in enumerate(x):
-            row = rows[i]
-            if row and a:
-                an, ad = a.as_integer_ratio()
-                for j, consts in row:
-                    b = y[j]
-                    if b:
-                        bn, bd = b.as_integer_ratio()
-                        terms.append((an * bn, ad * bd, consts))
-        if not terms:
-            return self._zero
-        den = lcm(*[d for _, d, _ in terms])
-        for f, d, consts in terms:
-            f *= den // d
-            for k, c in consts:
-                acc[k] += f * c
-        return _from_numerators(self.ring, acc, den * self._den)
+        ring = self.ring
+        return _from_numerators(ring, *self._mul_num(*_numerators(ring, x), *_numerators(ring, y)))
 
     def _mul_num(self, x, xd, y, yd):
         """The product of x / xd and y / yd for integer numerator vectors
@@ -194,16 +168,45 @@ class Algebra:
     # --- validation ---
 
     def _check_associativity(self):
-        failures = []
-        for i in range(self.rank):
-            for j in range(self.rank):
-                ij = self.basis_product(i, j)
-                for k in range(self.rank):
-                    left = self.mul(ij, self.basis_element(k))
-                    right = self.mul(self.basis_element(i), self.basis_product(j, k))
-                    if left != right:
-                        failures.append((i, j, k, left, right))
-        if failures:
+        """Raise AssociativityViolation unless (e_i e_j) e_k = e_i (e_j e_k)
+        on every basis triple (sufficient by trilinearity).
+
+        The residuals of all triples are summed in one pass over the integer
+        rows, keyed ((i * r + j) * r + k) * r + w for coordinate w. Both
+        sides carry the factor _den ** 2, so a residual vanishes iff its sum
+        is zero in the ring. `mul` runs only for the failing triples, which
+        are reported in lexicographic order as (i, j, k, left, right).
+        """
+        r = self.rank
+        rows = self._rows
+        cols = [[] for _ in range(r)]
+        for s, row in enumerate(rows):
+            for k, consts in row:
+                cols[k].append((s, consts))
+        residual = {}
+        # a structure constant e_a e_b = ... + c e_k enters (e_a e_b) e_u
+        # through row k and e_s (e_a e_b) through column k
+        for a, row in enumerate(rows):
+            for b, consts in row:
+                for k, c in consts:
+                    for u, prod in rows[k]:
+                        key = ((a * r + b) * r + u) * r
+                        for w, v in prod:
+                            residual[key + w] = residual.get(key + w, 0) + c * v
+                    for s, prod in cols[k]:
+                        key = ((s * r + a) * r + b) * r
+                        for w, v in prod:
+                            residual[key + w] = residual.get(key + w, 0) - c * v
+        values = _reduce(self.ring, residual.values())
+        failing = sorted({key // r for key, v in zip(residual, values) if v})
+        if failing:
+            failures = []
+            for ijk in failing:
+                i, jk = divmod(ijk, r * r)
+                j, k = divmod(jk, r)
+                left = self.mul(self.basis_product(i, j), self.basis_element(k))
+                right = self.mul(self.basis_element(i), self.basis_product(j, k))
+                failures.append((i, j, k, left, right))
             raise AssociativityViolation(failures)
 
     def _check_unit(self):
@@ -330,13 +333,15 @@ def _leibniz_terms(A: Algebra, rows, cols):
 def verify_leibniz(A: Algebra, matrix) -> Derivation:
     """Accept a matrix as a derivation iff Leibniz holds on all basis
     pairs (sufficient by bilinearity). Raises LeibnizViolation for the
-    first failing pair (i, j) otherwise.
+    first failing pair (i, j) otherwise. Entries are brought into the ring
+    first: reduced mod p over GF(p), and ValueError for a denominator that
+    is not a unit (any over ZZ).
 
     The residual is summed for all pairs in one pass over the integer rows
     of A and D; both are scaled by their own denominator, so every term
     carries the same positive factor; it is tested for zero in the ring.
     """
-    rows = tuple(tuple(row) for row in matrix)
+    rows = tuple(_to_ring(A.ring, row) for row in matrix)
     if len(rows) != A.rank or any(len(r) != A.rank for r in rows):
         raise RankMismatch(f"derivation matrix must be {A.rank}x{A.rank}")
     D = Derivation(rows)

@@ -10,7 +10,6 @@ radical in characteristic zero and its failure mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .algebra import Algebra, Derivation, nilpotency_index
 from .errors import PreconditionViolated, VerificationFailed
@@ -232,30 +231,3 @@ def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace
         leading_multiple_in_n=N.contains(lead),
         leading_coefficient=c_top,
     )
-
-
-def quotient_semiprime_witness(A: Algebra, rad: Subspace, coord_range=range(-2, 3)):
-    """Search for nonzero x in A/rad with x (A/rad) x = 0 over a small
-    coordinate grid; None when the quotient looks semiprime.
-
-    Exhaustive over the coordinate grid for rational algebras; exhaustive
-    over the whole space for small prime fields.
-    """
-    ring = A.ring
-    if ring.kind == CoeffRing.PRIME_FIELD:
-        coords = range(ring.p)
-    else:
-        coords = coord_range
-    for tup in iter_product(coords, repeat=A.rank):
-        x = tuple(ring.from_int(c) for c in tup)
-        if rad.contains(x):
-            continue
-        # x * A^1 * x falls in rad: the unital part x*x and every x*e_i*x
-        if not rad.contains(A.mul(x, x)):
-            continue
-        if all(
-            rad.contains(A.mul(A.mul(x, A.basis_element(i)), x))
-            for i in range(A.rank)
-        ):
-            return x
-    return None

@@ -157,15 +157,28 @@ def _numerators(ring: CoeffRing, x):
 
 
 def _from_numerators(ring: CoeffRing, acc, den: int):
-    """Ring elements acc / den for a unit den of the ring (1 over ZZ): one
-    Fraction per nonzero coordinate over QQ, times den^-1 mod p over GF(p)."""
+    """Ring elements acc / den for a unit den of the ring: one Fraction per
+    nonzero coordinate over QQ, times den^-1 mod p over GF(p). ValueError
+    when den is not a unit (den != 1 over ZZ, den = 0 mod p over GF(p))."""
     if ring.kind == CoeffRing.RATIONALS:
         zero = ring.zero
         return tuple([Fraction(s, den) if s else zero for s in acc])
     if den != 1:
+        if not ring.p or den % ring.p == 0:
+            raise ValueError(f"denominator {den} is not a unit of {ring}")
         f = pow(den, -1, ring.p)
         acc = [s * f for s in acc]
     return _reduce(ring, acc)
+
+
+def _to_ring(ring: CoeffRing, values):
+    """Exact ints and Fractions as ring elements: unchanged over QQ,
+    reduced mod p over GF(p); ValueError for a denominator that is not a
+    unit of the ring (see `_from_numerators`)."""
+    values = tuple(values)
+    if ring.kind == CoeffRing.RATIONALS:
+        return values
+    return _from_numerators(ring, *_numerators(QQ, values))
 
 
 def _unit_row(ring: CoeffRing, row):

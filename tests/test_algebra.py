@@ -6,9 +6,10 @@ import json
 import random
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -60,7 +61,7 @@ from orelab.errors import (
     RankMismatch,
 )
 from orelab.orepoly import CanonicalTerm, evaluate_terms
-from orelab.rings import GF, QQ, ZZ
+from orelab.rings import GF, QQ, ZZ, _from_numerators
 from orelab.words import Word
 
 
@@ -307,6 +308,13 @@ def _gf_cases(p):
         yield charp_truncated(p)
         A = upper_2x2(GF(p))
         yield A, inner_derivation(A, tuple(rng.randrange(p) for _ in range(A.rank)))
+        # constants given outside the ring are reduced on the way in: 1/2 is
+        # (p + 1) / 2 mod p (1/3 stands in over GF(2)), p and -1 are 0 and p - 1
+        half = Fraction(1, 2 if p != 2 else 3)
+        yield Algebra(GF(p), 1, None, {(0, 0): {0: half}}), Derivation(((1,),))
+        yield Algebra(GF(p), 1, None, {(0, 0): {0: p}}), Derivation(((1,),))
+        A = square_zero(2, GF(p))
+        yield A, verify_leibniz(A, ((half, p), (-1, -half)))
     return cases
 
 
@@ -327,11 +335,15 @@ def _qq_scalar(rng):
     (_gf_cases(2), lambda rng: rng.randrange(2), lambda a: type(a) is int and 0 <= a < 2),
     (_gf_cases(3), lambda rng: rng.randrange(3), lambda a: type(a) is int and 0 <= a < 3),
     (_gf_cases(5), lambda rng: rng.randrange(5), lambda a: type(a) is int and 0 <= a < 5),
-], ids=["ZZ", "QQ", "GF2", "GF3", "GF5"])
+    (_gf_cases(7), lambda rng: rng.randrange(7), lambda a: type(a) is int and 0 <= a < 7),
+], ids=["ZZ", "QQ", "GF2", "GF3", "GF5", "GF7"])
 def test_fast_path_matches_definition(cases, scalar, check_type):
     rng = random.Random(0xFA57)
     for A, D in cases(rng):
         ring = A.ring
+        if ring != QQ:  # QQ keeps the ints and Fractions it is given
+            assert all(check_type(c) for row in A.table.values() for c in row.values())
+            assert all(check_type(c) for row in D.matrix for c in row)
 
         def draw():
             return tuple(scalar(rng) for _ in range(A.rank))
@@ -360,6 +372,24 @@ def test_fast_path_matches_definition(cases, scalar, check_type):
             got = evaluate_terms(A, D, gens, terms)
             assert got.coeffs == _ref_evaluate(A, D, gens, terms)
             assert all(check_type(a) for c in got.coeffs for a in c)
+
+
+def test_constants_outside_the_ring_refused():
+    # a denominator must be a unit of the ring: none is over ZZ, and no
+    # multiple of p is over GF(p)
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Algebra(ZZ, 1, None, {(0, 0): {0: half}})
+    with pytest.raises(ValueError):
+        verify_leibniz(square_zero(1, ZZ), ((half,),))
+    with pytest.raises(ValueError):
+        Derivation(((half,),)).apply(ZZ, (1,))
+    with pytest.raises(ValueError):
+        _from_numerators(ZZ, (1,), 2)
+    with pytest.raises(ValueError):
+        Algebra(GF(5), 1, None, {(0, 0): {0: Fraction(1, 10)}})
+    with pytest.raises(ValueError):
+        verify_leibniz(square_zero(1, GF(5)), ((Fraction(2, 5),),))
 
 
 # --- identities -------------------------------------------------------------
@@ -489,6 +519,27 @@ def _ref_verify_identity(A, ident):
     return True, None
 
 
+def _ref_associativity_failures(ring, rank, table):
+    """(i, j, k, left, right) for every basis triple with (e_i e_j) e_k !=
+    e_i (e_j e_k), in lexicographic order; both sides from the raw table."""
+    T = SimpleNamespace(ring=ring, rank=rank, table=table)
+
+    def basis_element(i):
+        return tuple(ring.one if t == i else ring.zero for t in range(rank))
+
+    def basis_product(i, j):
+        row = table.get((i, j), {})
+        return tuple(row.get(k, ring.zero) for k in range(rank))
+
+    failures = []
+    for i, j, k in itertools.product(range(rank), repeat=3):
+        left = _ref_mul(T, basis_product(i, j), basis_element(k))
+        right = _ref_mul(T, basis_element(i), basis_product(j, k))
+        if left != right:
+            failures.append((i, j, k, left, right))
+    return failures
+
+
 def _ref_leibniz_violation(A, matrix):
     """The first basis pair where D(e_i e_j) != D(e_i) e_j + e_i D(e_j), as
     (i, j, lhs, rhs), or None."""
@@ -614,6 +665,48 @@ def test_verify_leibniz_matches_per_pair_check(A, kind, seed):
             verify_leibniz(A, mat)
         v = exc.value
         assert (v.i, v.j, v.lhs, v.rhs) == expected
+
+
+# (e0 e0) e1 - e0 (e0 e1) = (1 - 4) e1: associative over GF(3) only
+MOD3_TABLE = {(0, 0): {1: 1}, (0, 1): {1: 2}, (1, 0): {1: 2}, (1, 1): {1: 1}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_algebras(), st.sampled_from(["valid", "perturbed", "random"]),
+       st.integers(0, 2**32))
+@example(Algebra(GF(3), 2, None, MOD3_TABLE), "valid", 0)
+def test_associativity_check_matches_per_triple_check(A, kind, seed):
+    rng = random.Random(seed)
+    ring, r = A.ring, A.rank
+
+    def constant():
+        if ring == QQ and rng.random() < 0.5:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return ring.from_int(rng.choice((-2, -1, 1, 2)))
+
+    if kind == "random":
+        table = {(i, j): {k: constant() for k in range(r) if rng.random() < 0.5}
+                 for i in range(r) for j in range(r) if rng.random() < 0.5}
+    else:
+        table = {ij: dict(row) for ij, row in A.table.items()}
+        if kind == "perturbed":
+            i, j, k = (rng.randrange(r) for _ in range(3))
+            row = table.setdefault((i, j), {})
+            row[k] = ring.add(row.get(k, ring.zero), constant())
+    expected = _ref_associativity_failures(ring, r, table)
+    if not expected:
+        Algebra(ring, r, None, table)
+    else:
+        with pytest.raises(AssociativityViolation) as exc:
+            Algebra(ring, r, None, table)
+        assert exc.value.failures == expected
+
+
+def test_associativity_residual_reduced_mod_p():
+    # the example above holds only mod 3: over ZZ two residuals are -3 and 3
+    with pytest.raises(AssociativityViolation) as exc:
+        Algebra(ZZ, 2, None, MOD3_TABLE)
+    assert [f[:3] for f in exc.value.failures] == [(0, 0, 1), (1, 0, 0)]
 
 
 # --- spans, powers, nilpotency ----------------------------------------------

@@ -26,7 +26,6 @@ from orelab.radical import (
     is_nil_ideal,
     leibniz_coefficients,
     principal_ideal,
-    quotient_semiprime_witness,
     radical_char0,
     verify_nilpotent_image,
 )
@@ -106,27 +105,6 @@ def test_radical_matches_unitalization(rng):
             assert U.span([(QQ.zero,) + tuple(v) for v in J.basis]) == radical_char0(U).radical
 
 
-def test_radical_quotient_semiprime():
-    for A in (upper_2x2(), truncated_polynomial(QQ, 3), truncated_polynomial(QQ, 4)):
-        rad = radical_char0(A).radical
-        assert quotient_semiprime_witness(A, rad) is None
-
-
-def test_semiprime_witness_found_for_undersized_candidate():
-    sq = square_zero(2)
-    assert quotient_semiprime_witness(sq, Subspace.zero(QQ, 2)) is not None
-
-
-def test_radical_mod_p_counterparts_semiprime():
-    # reduce upper_2x2 mod p and check span(e12) still gives a semiprime quotient
-    for p in (2, 3):
-        A = upper_2x2(ring=GF(p))
-        rad = A.span([A.basis_element(1)])
-        ok, _ = is_nil_ideal(A, rad)
-        assert ok
-        assert quotient_semiprime_witness(A, rad) is None
-
-
 # --- nil ideals ----------------------------------------------------------
 
 def test_is_nil_ideal_examples():
@@ -137,6 +115,10 @@ def test_is_nil_ideal_examples():
     assert ok and cert.nilpotency_index == 2
     ok, cert = is_nil_ideal(A, A.span([A.basis_element(0)]))
     assert not ok
+    for p in (2, 3):
+        A = upper_2x2(ring=GF(p))
+        ok, cert = is_nil_ideal(A, A.span([A.basis_element(1)]))
+        assert ok and cert.nilpotency_index == 2
 
 
 def test_is_nil_ideal_catches_non_ideal():
