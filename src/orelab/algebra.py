@@ -121,7 +121,7 @@ class Algebra:
     def mul(self, x, y):
         """Bilinear product via the structure constants, in every ring:
         `_mul_num` on the integer numerators of x and y, and one division
-        back into the ring per coordinate (a Fraction over QQ)."""
+        back into the ring per coordinate (a Fraction over QQ, mod p)."""
         if len(x) != self.rank or len(y) != self.rank:
             raise RankMismatch("element length does not match algebra rank")
         ring = self.ring
@@ -130,7 +130,7 @@ class Algebra:
     def _mul_num(self, x, xd, y, yd):
         """The product of x / xd and y / yd for integer numerator vectors
         x and y, as (numerators, denominator): one integer loop over the
-        structure constants, reduced mod p over GF(p)."""
+        structure constants, left for the caller to reduce mod p."""
         rows = self._rows
         acc = [0] * self.rank
         for i, a in enumerate(x):
@@ -142,7 +142,7 @@ class Algebra:
                         f = a * b
                         for k, c in consts:
                             acc[k] += f * c
-        return _reduce(self.ring, acc), xd * yd * self._den
+        return acc, xd * yd * self._den
 
     def product(self, elems):
         it = iter(elems)
@@ -501,15 +501,15 @@ def verify_identity(A: Algebra, ident: MultilinearIdentity):
 def nilpotency_index(A: Algebra, S: Subspace) -> int | None:
     """Least b with S^b = 0, or None when S is not nilpotent.
 
-    One walk S^b = span(S^(b-1) S) for b = 2 .. rank + 1. S lies in the
-    subalgebra B it generates; if S is nilpotent, so is B, and a nilpotent
-    B has B^(dim B + 1) = 0 with dim B <= rank, so S^(rank+1) = 0.
+    One walk S^b = span(S^(b-1) S) on the stored rows for b = 2 .. rank + 1.
+    S lies in the subalgebra B it generates; if S is nilpotent, so is B, and
+    a nilpotent B has B^(dim B + 1) = 0 with dim B <= rank, so S^(rank+1) = 0.
     """
     if S.is_zero:
         return 1
     current = S
     for b in range(2, A.rank + 2):
-        current = A.span([A.mul(x, y) for x in current.basis for y in S.basis])
+        current = A.span([A._mul_num(x, 1, y, 1)[0] for x in current.rows for y in S.rows])
         if current.is_zero:
             return b
     return None
@@ -533,7 +533,7 @@ def b_sequence(A: Algebra, delta: Derivation, T) -> BoundSequence:
             raise NotNilpotent(len(prefix))
         prefix.append(b)
         iterates = [delta.apply(A.ring, x) for x in iterates]
-        span_next = span_now.plus(A.span(iterates))
+        span_next = A.span([*span_now.rows, *iterates])
         if span_next == span_now:
             break
         span_now = span_next

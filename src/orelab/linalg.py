@@ -1,15 +1,15 @@
 """Exact linear algebra over the coefficient rings.
 
 One elimination, ``_echelon``, serves every ring, and the helpers of
-``rings`` decide how its integer rows become ring elements; nothing here
-branches on the ring. See ``Subspace`` for the canonical forms.
+``rings`` decide how its integer rows become ring elements. See
+``Subspace`` for the one stored form of a span.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .rings import CoeffRing, _basis_row, _from_numerators, _numerators, _reduce, _unit_row
+from .rings import CoeffRing, _from_numerators, _numerators, _reduce, _unit_row
 
 
 def _echelon(rows, ring: CoeffRing):
@@ -21,8 +21,9 @@ def _echelon(rows, ring: CoeffRing):
     pivot row and after every update. The update is fraction-free and the
     same for every ring: a row r with entry c in the pivot column of the
     pivot row `row` (pivot pv) becomes (pv * r - c * row) / gcd(pv, c); its
-    subtraction runs over the nonzero columns of the pivot row only. RREF
-    row t is rows[t] divided by rows[t][pivots[t]]. Over ZZ this is the
+    subtraction runs over the nonzero columns of the pivot row only. The
+    rows returned are unique unit multiples (`_unit_row` with the pivot):
+    RREF row t is rows[t] / rows[t][pivots[t]]. Over ZZ this is the
     rational elimination of the integer rows.
     """
     work = [r for r in (_numerators(ring, x)[0] for x in rows) if any(r)]
@@ -58,7 +59,7 @@ def _echelon(rows, ring: CoeffRing):
         pivots.append(j)
         if i + 1 == m:
             break
-    return work[:len(pivots)], pivots
+    return [_unit_row(ring, r, j) for r, j in zip(work, pivots)], pivots
 
 
 def _field_echelon(rows, ring: CoeffRing):
@@ -71,7 +72,7 @@ def _field_echelon(rows, ring: CoeffRing):
 def rref(rows, ring: CoeffRing):
     """Reduced row echelon form over a field; returns canonical row tuples."""
     work, pivots = _field_echelon(rows, ring)
-    return [_basis_row(ring, r, j) for r, j in zip(work, pivots)]
+    return [_from_numerators(ring, r, r[j]) for r, j in zip(work, pivots)]
 
 
 def nullspace(rows, ring: CoeffRing):
@@ -118,20 +119,22 @@ def solve_linear(rows, rhs, ring: CoeffRing):
 class Subspace:
     """Canonical subspace of a rank-r coordinate module over a coefficient ring.
 
-    Over a field the basis is RREF; over ZZ it is the rational RREF with
-    each row scaled to primitive integers and a positive pivot. RREF is
-    unique for a rational span, so both are canonical: two subspaces are
-    equal iff their bases coincide. A ZZ subspace spanned by a lattice L
-    stands for its saturation QL ∩ Z^r, which depends only on QL; its basis
-    need not be a Z-basis of it.
+    One form is stored: the integer rows of `_echelon`, each the unique
+    unit multiple of an RREF row (pivot 1 over GF(p), primitive with a
+    positive pivot over QQ and ZZ), and their pivot columns. RREF is unique
+    for a rational span, so two subspaces are equal iff their rows
+    coincide. ``basis`` is built on access: RREF over a field, the rows over
+    ZZ. A ZZ subspace spanned by a lattice L stands for its saturation
+    QL ∩ Z^r, which depends only on QL; its basis need not be a Z-basis.
     """
 
-    __slots__ = ("ring", "ambient", "basis")
+    __slots__ = ("ring", "ambient", "rows", "pivots")
 
-    def __init__(self, ring: CoeffRing, ambient: int, basis):
+    def __init__(self, ring: CoeffRing, ambient: int, rows, pivots):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in basis))
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -142,31 +145,36 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient rank {ambient}")
-        work, pivots = _echelon(vecs, ring)
-        return cls(ring, ambient, [_basis_row(ring, r, j) for r, j in zip(work, pivots)])
+        return cls(ring, ambient, *_echelon(vecs, ring))
 
     @classmethod
     def zero(cls, ring: CoeffRing, ambient: int) -> "Subspace":
-        return cls(ring, ambient, [])
+        return cls(ring, ambient, (), ())
+
+    @property
+    def basis(self):
+        if not self.ring.is_field:
+            return self.rows
+        return tuple(_from_numerators(self.ring, r, r[j]) for r, j in zip(self.rows, self.pivots))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ring == other.ring
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ring, self.ambient, self.basis))
+        return hash((self.ring, self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, ring={self.ring})"
@@ -174,23 +182,20 @@ class Subspace:
     def contains(self, vector) -> bool:
         """Membership. Over ZZ this is membership in the saturation, i.e.
         rational-span membership of an integer vector."""
-        v = list(vector)
-        if len(v) != self.ambient:
+        if len(vector) != self.ambient:
             raise ValueError("vector length mismatch")
         ring = self.ring
-        w = _reduce(ring, _numerators(ring, v)[0])
-        for row in self.basis:
-            b = _numerators(ring, row)[0]
-            j = next(j for j, a in enumerate(b) if a)
+        w = _reduce(ring, _numerators(ring, vector)[0])
+        for row, j in zip(self.rows, self.pivots):
             c = w[j]
             if c:
-                # w <- (b[j] * w - c * b) / gcd(b[j], c)
-                g = gcd(b[j], c)
-                f, c = b[j] // g, c // g
-                w = _reduce(ring, [f * a - c * x for a, x in zip(w, b)])
+                # w <- (row[j] * w - c * row) / gcd(row[j], c)
+                g = gcd(row[j], c)
+                f, c = row[j] // g, c // g
+                w = _reduce(ring, [f * a - c * b for a, b in zip(w, row)])
         return not any(w)
 
     def plus(self, other: "Subspace") -> "Subspace":
         if self.ring != other.ring or self.ambient != other.ambient:
             raise ValueError("subspace sum requires matching ring and ambient rank")
-        return Subspace.span(self.ring, self.ambient, list(self.basis) + list(other.basis))
+        return Subspace.span(self.ring, self.ambient, self.rows + other.rows)

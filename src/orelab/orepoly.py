@@ -15,7 +15,7 @@ from math import comb
 from .algebra import Algebra, Derivation, MultilinearIdentity, b_sequence, verify_identity
 from .errors import BudgetExceeded, ExponentTooLarge, IdentityFails
 from .linalg import Subspace
-from .rings import _numerators
+from .rings import _numerators, _reduce
 from .words import Word, compute_bounds
 
 # largest span dimension a power of a polynomial set may reach before the
@@ -271,10 +271,12 @@ def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly
             else:
                 idx, j = key[s]
                 chain = chains[idx]
-                # delta^j(a) = 0 for j past the chain
-                cur = A._mul_num(*prods[-1], *chain[j]) if j < len(chain) else None
+                # delta^j(a) = 0 for j past the chain; reduced mod p, so a
+                # product that vanishes in GF(p) ends the term
+                nums, den = A._mul_num(*prods[-1], *chain[j]) if j < len(chain) else ((), 1)
+                cur = _reduce(ring, nums), den
             path.append(key[s])
-            prods.append(cur if cur is not None and any(cur[0]) else None)
+            prods.append(cur if any(cur[0]) else None)
         if prods[-1] is not None and t.coeff:
             by_degree.setdefault(t.xdeg, []).append((t.coeff, *prods[-1]))
     top = max(by_degree, default=-1)
@@ -303,9 +305,9 @@ def _poly_vector(A: Algebra, f: DiffPoly, deg_cap: int):
 def _power_dims(A: Algebra, delta: Derivation, S):
     """dim span(S^m) for m = 1, 2, ..., stopping after the first 0.
 
-    One walk: span(S^m) = span(span(S^(m-1)) * S). Power m has x-degree at
-    most m * (max degree of S), so each power gets its own graded
-    coordinate block.
+    One walk: span(S^m) = span(span(S^(m-1)) * S), on the stored rows of
+    span(S^(m-1)). Power m has x-degree at most m * (max degree of S), so
+    each power gets its own graded coordinate block.
     """
     S = list(S)
     maxdeg = max((f.degree for f in S if not f.is_zero), default=0)
@@ -323,8 +325,8 @@ def _power_dims(A: Algebra, delta: Derivation, S):
                 raise BudgetExceeded(
                     f"span dimension {current.dim} exceeds cap {DEFAULT_SPAN_CAP}"
                 )
-            prev = [DiffPoly(A, [tuple(row[i:i + r]) for i in range(0, len(row), r)])
-                    for row in current.basis]
+            prev = [DiffPoly(A, [row[i:i + r] for i in range(0, len(row), r)])
+                    for row in current.rows]
             polys = [ore_multiply(A, delta, f, g) for f in prev for g in S]
         current = Subspace.span(A.ring, ambient, [_poly_vector(A, f, deg_cap) for f in polys])
         yield current.dim

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, Derivation, nilpotency_index
 from .errors import PreconditionViolated, VerificationFailed
 from .linalg import Subspace, nullspace
-from .rings import CoeffRing
+from .rings import CoeffRing, _numerators
 
 LEIBNIZ_CAP = 8
 
@@ -73,19 +73,18 @@ def radical_char0(A: Algebra) -> RadicalReport:
 
 def is_nil_ideal(A: Algebra, V: Subspace) -> tuple[bool, NilIdealCertificate]:
     """Two-sided ideal with a finite nilpotency index (nil and nilpotent
-    coincide at finite rank)."""
-    for side, mul in (("left", lambda e, v: A.mul(e, v)), ("right", lambda e, v: A.mul(v, e))):
+    coincide at finite rank). Closure multiplies e_i by V's stored rows;
+    a failure reports the product with the matching basis vector."""
+    for side, order in (("left", lambda e, v: (e, v)), ("right", lambda e, v: (v, e))):
         for i in range(A.rank):
-            e = A.basis_element(i)
-            for v in V.basis:
-                w = mul(e, A.element(v))
-                if not V.contains(w):
-                    cert = NilIdealCertificate(False, None, (side, i, w))
-                    return False, cert
+            e = _numerators(A.ring, A.basis_element(i))[0]
+            for t, v in enumerate(V.rows):
+                x, y = order(e, v)
+                if not V.contains(A._mul_num(x, 1, y, 1)[0]):
+                    w = A.mul(*order(A.basis_element(i), V.basis[t]))
+                    return False, NilIdealCertificate(False, None, (side, i, w))
     idx = nilpotency_index(A, V)
-    if idx is None:
-        return False, NilIdealCertificate(False, None, None)
-    return True, NilIdealCertificate(True, idx, None)
+    return idx is not None, NilIdealCertificate(idx is not None, idx, None)
 
 
 def check_delta_stability(A: Algebra, delta: Derivation, N: Subspace) -> StabilityResult:
@@ -163,23 +162,17 @@ class NilpotentImageReport:
 def principal_ideal(A: Algebra, b) -> Subspace:
     """Span of b together with all one- and two-sided basis multiples,
     closed under multiplication (the ideal generated by b in the
-    unitalization, restricted to A)."""
-    vectors = [A.element(b)]
-    frontier = [A.element(b)]
-    span = A.span(vectors)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(A.rank):
-                e = A.basis_element(i)
-                for w in (A.mul(e, v), A.mul(v, e)):
-                    if not span.contains(w):
-                        new.append(w)
-        if not new:
-            break
-        span = span.plus(A.span(new))
-        frontier = new
-    return span
+    unitalization, restricted to A): the stored rows and their basis
+    products are re-spanned until the span stops changing."""
+    units = [_numerators(A.ring, A.basis_element(i))[0] for i in range(A.rank)]
+    span = A.span([A.element(b)])
+    while True:
+        products = [A._mul_num(x, 1, y, 1)[0]
+                    for v in span.rows for e in units for x, y in ((e, v), (v, e))]
+        grown = A.span([*span.rows, *products])
+        if grown == span:
+            return span
+        span = grown
 
 
 def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace) -> NilpotentImageReport:
@@ -204,7 +197,7 @@ def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace
 
     table = leibniz_coefficients(n)
     ideal = principal_ideal(A, b)
-    ideal_inside = all(N.contains(v) for v in ideal.basis)
+    ideal_inside = all(N.contains(v) for v in ideal.rows)
     terms_ok = True
     iterates = delta.iterates(A.ring, b, n)
     iterates += [A.zero()] * (n + 1 - len(iterates))

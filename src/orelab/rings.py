@@ -181,19 +181,17 @@ def _to_ring(ring: CoeffRing, values):
     return _from_numerators(ring, *_numerators(QQ, values))
 
 
-def _unit_row(ring: CoeffRing, row):
+def _unit_row(ring: CoeffRing, row, j: int | None = None):
     """The canonical unit multiple of an integer row: reduced mod p over
-    GF(p), primitive over QQ and over ZZ (a ZZ subspace is a rational span)."""
+    GF(p), primitive over QQ and over ZZ (a ZZ subspace is a rational span);
+    unique given a pivot column j: pivot 1 over GF(p), positive otherwise."""
     p = ring.p
     if p:
-        return [a % p for a in row]
+        if j is None:
+            return [a % p for a in row]
+        f = pow(row[j], -1, p)
+        return [a * f % p for a in row]
     g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
-def _basis_row(ring: CoeffRing, row, j: int):
-    """Canonical basis vector from an echelon row with pivot column j: the
-    RREF row row / row[j] over a field, the row with a positive pivot over ZZ."""
-    if ring.is_field:
-        return _from_numerators(ring, row, row[j])
-    return tuple(row) if row[j] > 0 else tuple([-a for a in row])
+    if j is not None and row[j] < 0:
+        g = -g
+    return [a // g for a in row] if g not in (0, 1) else row

@@ -61,6 +61,7 @@ from orelab.errors import (
     RankMismatch,
 )
 from orelab.orepoly import CanonicalTerm, evaluate_terms
+from orelab.radical import is_nil_ideal, principal_ideal
 from orelab.rings import GF, QQ, ZZ, _from_numerators
 from orelab.words import Word
 
@@ -759,6 +760,76 @@ def test_nilpotency_agrees_with_naive_products(rng):
                 assert not all_zero
             else:
                 assert all_zero == (m >= idx)
+
+
+def _ref_nilpotency_index(A, S):
+    """Least b with S^b = 0 by A.mul on the basis, walked to rank + 1."""
+    if S.is_zero:
+        return 1
+    current = S
+    for b in range(2, A.rank + 2):
+        current = A.span([A.mul(x, y) for x in current.basis for y in S.basis])
+        if current.is_zero:
+            return b
+    return None
+
+
+def _ref_nil_ideal(A, V):
+    """(verdict, nilpotency index, closure failure) from A.mul and contains
+    in (side, i, basis row) order."""
+    for side in ("left", "right"):
+        for i in range(A.rank):
+            e = A.basis_element(i)
+            for v in V.basis:
+                w = A.mul(e, v) if side == "left" else A.mul(v, e)
+                if not V.contains(w):
+                    return False, None, (side, i, w)
+    idx = _ref_nilpotency_index(A, V)
+    return idx is not None, idx, None
+
+
+def _ref_principal_ideal(A, b):
+    """Frontier walk: add the basis multiples of the last new vectors that
+    fall outside the span, until none does."""
+    span = A.span([b])
+    frontier = [b]
+    while frontier:
+        new = [w for v in frontier for i in range(A.rank)
+               for w in (A.mul(A.basis_element(i), v), A.mul(v, A.basis_element(i)))
+               if not span.contains(w)]
+        if new:
+            span = span.plus(A.span(new))
+        frontier = new
+    return span
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_algebras(), st.integers(1, 3), st.integers(0, 2**32))
+def test_closure_checks_match_reference_loops(A, size, seed):
+    rng = random.Random(seed)
+    # random elements, basis elements and their products, so that some
+    # spans are ideals and some are nilpotent
+    pool = [random_element(A, rng, span=2) for _ in range(3)]
+    pool += [A.basis_element(i) for i in range(A.rank)]
+    pool += [A.mul(x, y) for x in pool[:3] for y in pool]
+    elems = [rng.choice(pool) for _ in range(size)]
+    ideal = principal_ideal(A, elems[0])
+    assert ideal == _ref_principal_ideal(A, elems[0])
+    for V in (A.span(elems), ideal):
+        ok, cert = is_nil_ideal(A, V)
+        expected = _ref_nil_ideal(A, V)
+        assert (ok, cert.nilpotency_index, cert.closure_failure) == expected
+        assert nilpotency_index(A, V) == _ref_nilpotency_index(A, V)
+        if expected[2] is None:
+            # on a two-sided ideal neither check multiplies ring elements
+            calls = []
+            A.mul = lambda x, y: calls.append((x, y))
+            try:
+                is_nil_ideal(A, V)
+                nilpotency_index(A, V)
+            finally:
+                del A.mul
+            assert not calls
 
 
 def test_b_sequence_examples():

@@ -100,12 +100,40 @@ def primitive_positive(row):
     return tuple(a // g for a in ints)
 
 
+def shuffled_multiples(data, ring, rows):
+    """The rows in a drawn order, each times a drawn nonzero scalar (a unit
+    over a field; any nonzero integer over ZZ, whose subspaces are rational
+    spans)."""
+    units = st.integers(-3, 3).filter(bool) if ring == ZZ else entries(ring).filter(bool)
+    order = data.draw(st.permutations(range(len(rows))))
+    scalars = data.draw(st.lists(units, min_size=len(rows), max_size=len(rows)))
+    return [[c * a for a in rows[t]] for c, t in zip(scalars, order)]
+
+
+def assert_stored_form(ring, S):
+    """The stored rows are ints with their pivot the first nonzero entry,
+    1 over GF(p) and positive in a primitive row otherwise, and the basis
+    is each row over its pivot (the row itself over ZZ)."""
+    assert all(type(a) is int for r in S.rows for a in r)
+    for r, j in zip(S.rows, S.pivots):
+        assert not any(r[:j])
+        assert r[j] == 1 if ring.p else (r[j] > 0 and gcd(*r) == 1)
+    if ring.is_field:
+        assert S.basis == tuple(tuple(Fraction(a, r[j]) if ring == QQ else a for a in r)
+                                for r, j in zip(S.rows, S.pivots))
+    else:
+        assert S.basis == S.rows
+
+
 @given(st.data())
 def test_zz_span_is_scaled_rational_echelon(data):
     rows = data.draw(small_int_rows)
     S = Subspace.span(ZZ, 3, rows)
     assert S.basis == tuple(primitive_positive(r) for r in rref(rows, QQ))
     assert all(type(a) is int for r in S.basis for a in r)
+    assert_stored_form(ZZ, S)
+    T = Subspace.span(ZZ, 3, shuffled_multiples(data, ZZ, rows))
+    assert T == S and hash(T) == hash(S)
     # membership is rational-span membership
     Q = Subspace.span(QQ, 3, [[Fraction(a) for a in r] for r in rows])
     v = data.draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
@@ -177,6 +205,13 @@ def test_rref_matches_fraction_reference(data):
     assert red == reference_rref(rows, ring.p)
     expected_type = int if ring.p else Fraction
     assert all(type(a) is expected_type for r in red for a in r)
+    # a subspace stores integer rows and gives the same RREF as its basis
+    S = Subspace.span(ring, n, rows)
+    assert S.basis == tuple(reference_rref(rows, ring.p))
+    assert all(type(a) is expected_type for r in S.basis for a in r)
+    assert_stored_form(ring, S)
+    T = Subspace.span(ring, n, shuffled_multiples(data, ring, rows))
+    assert T == S and hash(T) == hash(S)
 
 
 @given(st.data())
