@@ -63,6 +63,12 @@ class Algebra:
                 (k, c.numerator * (self._den // c.denominator)) for k, c in row.items()
             )))
         self._rows = tuple(tuple(r) for r in rows)
+        # the same constants by right factor: column j -> ((i, consts), ...)
+        cols = [[] for _ in range(rank)]
+        for i, row in enumerate(self._rows):
+            for j, consts in row:
+                cols[j].append((i, consts))
+        self._cols = tuple(tuple(c) for c in cols)
         self._zero = (ring.zero,) * rank
         self._check_associativity()
         if unit is not None:
@@ -178,11 +184,7 @@ class Algebra:
         are reported in lexicographic order as (i, j, k, left, right).
         """
         r = self.rank
-        rows = self._rows
-        cols = [[] for _ in range(r)]
-        for s, row in enumerate(rows):
-            for k, consts in row:
-                cols[k].append((s, consts))
+        rows, cols = self._rows, self._cols
         residual = {}
         # a structure constant e_a e_b = ... + c e_k enters (e_a e_b) e_u
         # through row k and e_s (e_a e_b) through column k
@@ -245,17 +247,23 @@ class Derivation:
         object.__setattr__(self, "_rows", rows)
 
     def apply(self, ring: CoeffRing, x):
-        return _from_numerators(ring, *self._apply_num(ring, *_numerators(ring, x)))
+        self._check_length(x)
+        return _from_numerators(ring, *self._apply_num(*_numerators(ring, x)))
 
     def iterates(self, ring: CoeffRing, x, order: int) -> list:
         """[x, delta(x), ..., delta^order(x)], cut before the first zero
         iterate (every later one is zero too); [] when x is zero."""
+        self._check_length(x)
         chain = self._iterates_num(ring, *_numerators(ring, x), order)
         return [x] + [_from_numerators(ring, *it) for it in chain[1:]] if chain else []
 
-    def _apply_num(self, ring: CoeffRing, x, den: int):
+    def _check_length(self, x):
+        if len(x) != len(self._rows):
+            raise RankMismatch(f"element of length {len(x)}, derivation of size {len(self._rows)}")
+
+    def _apply_num(self, x, den: int):
         """delta(x / den) for an integer numerator vector x, as
-        (numerators, denominator), reduced mod p over GF(p)."""
+        (numerators, denominator), not reduced mod p (as `Algebra._mul_num`)."""
         acc = []
         for row in self._rows:
             s = 0
@@ -264,13 +272,15 @@ class Derivation:
                 if a:
                     s += c * a
             acc.append(s)
-        return _reduce(ring, acc), den * self._den
+        return acc, den * self._den
 
     def _iterates_num(self, ring: CoeffRing, x, den: int, order: int) -> list:
-        """`iterates` of x / den as (numerators, denominator) pairs."""
+        """`iterates` of x / den as (numerators, denominator) pairs, each
+        reduced mod p once, so the chain ends at the first zero in the ring."""
         chain = [(x, den)] if any(x) else []
         while chain and len(chain) <= order:
-            x, den = self._apply_num(ring, x, den)
+            x, den = self._apply_num(x, den)
+            x = _reduce(ring, x)
             if not any(x):
                 break
             chain.append((x, den))
@@ -279,6 +289,24 @@ class Derivation:
     @property
     def is_zero(self) -> bool:
         return not any(self._rows)
+
+
+def _check_operands(A: Algebra, delta: Derivation | None = None, elements=(),
+                    subspace: Subspace | None = None):
+    """Refuse operands of another algebra: RankMismatch for a derivation,
+    an element or a subspace of another rank, ValueError for a subspace
+    over another ring."""
+    r = A.rank
+    if delta is not None and len(delta._rows) != r:
+        raise RankMismatch(f"derivation of size {len(delta._rows)} on an algebra of rank {r}")
+    for x in elements:
+        if len(x) != r:
+            raise RankMismatch(f"element of length {len(x)} in an algebra of rank {r}")
+    if subspace is not None:
+        if subspace.ring != A.ring:
+            raise ValueError(f"subspace over {subspace.ring} in an algebra over {A.ring}")
+        if subspace.ambient != r:
+            raise RankMismatch(f"subspace of ambient rank {subspace.ambient}, algebra of rank {r}")
 
 
 @dataclass(frozen=True)
@@ -505,6 +533,7 @@ def nilpotency_index(A: Algebra, S: Subspace) -> int | None:
     S lies in the subalgebra B it generates; if S is nilpotent, so is B, and
     a nilpotent B has B^(dim B + 1) = 0 with dim B <= rank, so S^(rank+1) = 0.
     """
+    _check_operands(A, subspace=S)
     if S.is_zero:
         return 1
     current = S
@@ -519,21 +548,21 @@ def b_sequence(A: Algebra, delta: Derivation, T) -> BoundSequence:
     """Nilpotency indices of the spans of T, T u delta(T), ...
 
     Entry n is the index of span(T_n) where T_n collects derivative
-    iterates up to order n. The prefix always extends to the level where
-    the span stabilizes (it can only grow rank-many times), so the
-    constant-tail rule of the result is honest.
+    iterates up to order n. One walk on the stored rows:
+    span(T_{n+1}) = span(T_n) + delta(span T_n), since delta(span T_n) is
+    spanned by the iterates of orders 1..n+1. The prefix always extends to
+    the level where the span stabilizes (it can only grow rank-many
+    times), so the constant-tail rule of the result is honest.
     """
-    elems = [A.element(t) for t in T]
-    span_now = A.span(elems)
+    _check_operands(A, delta)
+    span_now = A.span([A.element(t) for t in T])
     prefix = []
-    iterates = list(elems)
     while True:
         b = nilpotency_index(A, span_now)
         if b is None:
             raise NotNilpotent(len(prefix))
         prefix.append(b)
-        iterates = [delta.apply(A.ring, x) for x in iterates]
-        span_next = A.span([*span_now.rows, *iterates])
+        span_next = A.span([*span_now.rows, *(delta._apply_num(v, 1)[0] for v in span_now.rows)])
         if span_next == span_now:
             break
         span_now = span_next

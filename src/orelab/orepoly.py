@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import count
 from math import comb
 
-from .algebra import Algebra, Derivation, MultilinearIdentity, b_sequence, verify_identity
+from .algebra import (Algebra, Derivation, MultilinearIdentity, _check_operands, b_sequence,
+                      verify_identity)
 from .errors import BudgetExceeded, ExponentTooLarge, IdentityFails
 from .linalg import Subspace
 from .rings import _numerators, _reduce
@@ -127,13 +128,14 @@ def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> Dif
     The products and delta-iterates are kept as integer numerators, and
     each output coefficient is reduced once.
     """
+    _check_operands(A, delta, f.coeffs + g.coeffs)
     if f.is_zero or g.is_zero:
         return DiffPoly.zero(A)
     ring = A.ring
     fnums = [_numerators(ring, fa) if any(fa) else None for fa in f.coeffs]
     by_degree = [[] for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
     for j, gb in enumerate(g.coeffs):
-        chain = delta._iterates_num(ring, *_numerators(ring, gb), f.degree)
+        chain = delta._iterates_num(ring, *_numerators(ring, gb), f.degree) if any(gb) else ()
         for i, fa in enumerate(fnums):
             if fa is None:
                 continue
@@ -183,6 +185,7 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     Every partial product visited counts against DEFAULT_REWRITE_BUDGET;
     BudgetExceeded is raised when the count passes it.
     """
+    _check_operands(A, delta)
     gens = [A.element(g) for g in generators]
     gen_indices = tuple(int(i) for i in indices)
     exps = [int(p) for p in exponents]
@@ -242,6 +245,7 @@ def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly
     product. Products stay integer numerators until the one reduction per
     x-degree.
     """
+    _check_operands(A, delta)
     terms = list(terms)
     ring = A.ring
     order: dict = {}  # generator index -> highest delta-order a term asks of it
@@ -351,6 +355,8 @@ def minimal_nilpotency(A: Algebra, delta: Derivation, S, cap: int) -> Nilpotency
     """Least N <= cap with every (N+1)-fold product of S zero."""
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
+    S = list(S)
+    _check_operands(A, delta, [c for f in S for c in f.coeffs])
     dims = tuple(dim for _, dim in zip(range(cap + 1), _power_dims(A, delta, S)))
     return NilpotencyReport(len(dims) - 1 if dims and dims[-1] == 0 else None, dims)
 

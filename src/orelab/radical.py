@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Derivation, nilpotency_index
+from .algebra import Algebra, Derivation, _check_operands, nilpotency_index
 from .errors import PreconditionViolated, VerificationFailed
 from .linalg import Subspace, nullspace
-from .rings import CoeffRing, _numerators
+from .rings import CoeffRing, _numerators, _reduce
 
 LEIBNIZ_CAP = 8
 
@@ -29,7 +29,7 @@ class NilIdealCertificate:
 @dataclass(frozen=True)
 class RadicalReport:
     radical: Subspace
-    method: str  # "trace_form" | "verified_candidate"
+    method: str  # "trace_form", the one method that computes a radical
     certificate: NilIdealCertificate
 
 
@@ -71,31 +71,44 @@ def radical_char0(A: Algebra) -> RadicalReport:
     return RadicalReport(rad, "trace_form", cert)
 
 
+def _basis_multiples(A: Algebra, rows):
+    """Yield (side, i, t, w) for w = e_i v_t ("left") and v_t e_i ("right")
+    over the integer rows v_t in (side, i, t) order, from row or column i of
+    the structure constants; w is A._den times the product, not reduced."""
+    for side, terms in (("left", A._rows), ("right", A._cols)):
+        for i, pairs in enumerate(terms):
+            for t, v in enumerate(rows):
+                w = [0] * A.rank
+                for j, consts in pairs:
+                    if v[j]:
+                        for k, c in consts:
+                            w[k] += v[j] * c
+                yield side, i, t, w
+
+
 def is_nil_ideal(A: Algebra, V: Subspace) -> tuple[bool, NilIdealCertificate]:
     """Two-sided ideal with a finite nilpotency index (nil and nilpotent
     coincide at finite rank). Closure multiplies e_i by V's stored rows;
     a failure reports the product with the matching basis vector."""
-    for side, order in (("left", lambda e, v: (e, v)), ("right", lambda e, v: (v, e))):
-        for i in range(A.rank):
-            e = _numerators(A.ring, A.basis_element(i))[0]
-            for t, v in enumerate(V.rows):
-                x, y = order(e, v)
-                if not V.contains(A._mul_num(x, 1, y, 1)[0]):
-                    w = A.mul(*order(A.basis_element(i), V.basis[t]))
-                    return False, NilIdealCertificate(False, None, (side, i, w))
+    _check_operands(A, subspace=V)
+    for side, i, t, w in _basis_multiples(A, V.rows):
+        if not V.contains(w):
+            e, v = A.basis_element(i), V.basis[t]
+            w = A.mul(e, v) if side == "left" else A.mul(v, e)
+            return False, NilIdealCertificate(False, None, (side, i, w))
     idx = nilpotency_index(A, V)
     return idx is not None, NilIdealCertificate(idx is not None, idx, None)
 
 
 def check_delta_stability(A: Algebra, delta: Derivation, N: Subspace) -> StabilityResult:
-    """Whether the derivation maps the verified nil ideal N into itself."""
-    ok, _ = is_nil_ideal(A, N)
-    if not ok:
+    """Whether the derivation maps the verified nil ideal N into itself;
+    delta runs on N's stored rows, unit multiples of its basis vectors."""
+    _check_operands(A, delta, subspace=N)
+    if not is_nil_ideal(A, N)[0]:
         raise PreconditionViolated("stability check requires a verified nil ideal")
-    for v in N.basis:
-        image = delta.apply(A.ring, A.element(v))
-        if not N.contains(image):
-            return StabilityResult(False, (tuple(v), image))
+    for t, v in enumerate(N.rows):
+        if not N.contains(delta._apply_num(v, 1)[0]):
+            return StabilityResult(False, (tuple(N.basis[t]), delta.apply(A.ring, N.basis[t])))
     return StabilityResult(True, None)
 
 
@@ -161,18 +174,25 @@ class NilpotentImageReport:
 
 def principal_ideal(A: Algebra, b) -> Subspace:
     """Span of b together with all one- and two-sided basis multiples,
-    closed under multiplication (the ideal generated by b in the
-    unitalization, restricted to A): the stored rows and their basis
-    products are re-spanned until the span stops changing."""
-    units = [_numerators(A.ring, A.basis_element(i))[0] for i in range(A.rank)]
+    closed under multiplication (the ideal generated by b in the unitalization,
+    restricted to A): the walk of `is_nil_ideal` grows the rows until they stop."""
     span = A.span([A.element(b)])
     while True:
-        products = [A._mul_num(x, 1, y, 1)[0]
-                    for v in span.rows for e in units for x, y in ((e, v), (v, e))]
-        grown = A.span([*span.rows, *products])
+        grown = A.span([*span.rows, *(w for *_, w in _basis_multiples(A, span.rows))])
         if grown == span:
             return span
         span = grown
+
+
+def _chain_product(A: Algebra, chain, comp):
+    """prod delta^j(b) over the entries j of comp, from b's delta-chain of
+    (numerators, denominator) pairs: a positive multiple, not reduced mod p."""
+    if max(comp) >= len(chain):
+        return [0] * A.rank  # delta^j(b) = 0 past the chain
+    x, den = chain[comp[0]]
+    for j in comp[1:]:
+        x, den = A._mul_num(x, den, *chain[j])
+    return x
 
 
 def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace) -> NilpotentImageReport:
@@ -181,46 +201,25 @@ def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace
     Preconditions (checked): b^n = 0 and N is a nil ideal. The report
     records whether delta^n(b^n) vanishes (it is delta^n of zero), whether
     every composition term with a zero entry lies in the ideal of b and
-    that ideal inside N, and whether c_{1..1} * delta(b)^n lies in N.
+    that ideal inside N, and whether c_{1..1} * delta(b)^n lies in N. All of
+    them are integer products over b's delta-chain, tested by `contains`.
     """
-    b = A.element(b)
+    _check_operands(A, delta, (b,), N)
     if n < 1:
         raise PreconditionViolated("n is positive")
-    ok, _ = is_nil_ideal(A, N)
-    if not ok:
+    if not is_nil_ideal(A, N)[0]:
         raise PreconditionViolated("N must be a verified nil ideal")
-    power = b
-    for _ in range(n - 1):
-        power = A.mul(power, b)
-    if not A.is_zero_elem(power):
+    chain = delta._iterates_num(A.ring, *_numerators(A.ring, b), n)
+    if any(_reduce(A.ring, _chain_product(A, chain, (0,) * n))):
         raise PreconditionViolated(f"b^{n} is nonzero")
-
     table = leibniz_coefficients(n)
     ideal = principal_ideal(A, b)
-    ideal_inside = all(N.contains(v) for v in ideal.rows)
-    terms_ok = True
-    iterates = delta.iterates(A.ring, b, n)
-    iterates += [A.zero()] * (n + 1 - len(iterates))
-    for comp, _c in table.coefficients:
-        if 0 not in comp:
-            continue
-        term = None
-        for j in comp:
-            factor = iterates[j]
-            term = factor if term is None else A.mul(term, factor)
-        if not ideal.contains(term):
-            terms_ok = False
-            break
     c_top = table.coefficient((1,) * n)
-    delta_b = iterates[1]
-    lead = delta_b
-    for _ in range(n - 1):
-        lead = A.mul(lead, delta_b)
-    lead = A.scale_int(c_top, lead)
     return NilpotentImageReport(
         power_vanishes=True,
-        ideal_terms_in_n=terms_ok,
-        ideal_inside_n=ideal_inside,
-        leading_multiple_in_n=N.contains(lead),
+        ideal_terms_in_n=all(ideal.contains(_chain_product(A, chain, comp))
+                             for comp, _c in table.coefficients if 0 in comp),
+        ideal_inside_n=all(N.contains(v) for v in ideal.rows),
+        leading_multiple_in_n=N.contains([c_top * a for a in _chain_product(A, chain, (1,) * n)]),
         leading_coefficient=c_top,
     )

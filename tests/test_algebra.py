@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,12 +59,28 @@ from orelab.errors import (
     LeibnizViolation,
     MalformedInput,
     NotNilpotent,
+    PreconditionViolated,
     RankMismatch,
 )
-from orelab.orepoly import CanonicalTerm, evaluate_terms
-from orelab.radical import is_nil_ideal, principal_ideal
+from orelab.orepoly import (
+    CanonicalTerm,
+    DiffPoly,
+    evaluate_terms,
+    minimal_nilpotency,
+    ore_multiply,
+    rewrite_product,
+)
+from orelab.radical import (
+    NilpotentImageReport,
+    StabilityResult,
+    check_delta_stability,
+    is_nil_ideal,
+    leibniz_coefficients,
+    principal_ideal,
+    verify_nilpotent_image,
+)
 from orelab.rings import GF, QQ, ZZ, _from_numerators
-from orelab.words import Word
+from orelab.words import BoundSequence, Word
 
 
 # --- construction and validation -----------------------------------------
@@ -111,6 +128,45 @@ def test_multiply_with_unit_and_mismatch():
     assert A.mul(A.basis_element(0), x) == x
     with pytest.raises(RankMismatch):
         A.mul(x, (QQ.one,))
+
+
+def _foreign_operand_cases():
+    """Calls that mix strictly upper 3x3 (A3, rank 3) and strictly upper
+    4x4 (A6, rank 6) operands, or GF(5) and QQ ones, with the error each
+    must raise."""
+    A3, A6 = strictly_upper_3x3(), strictly_upper(4)
+    D3 = inner_derivation(A3, A3.basis_element(0))  # inner by e12
+    D6 = inner_derivation(A6, A6.basis_element(0))
+    e = A6.basis_element
+    V3 = A3.span([A3.basis_element(1)])  # span(e13), a nil ideal of A3
+    N6 = A6.span([e(2)])  # span(e14), a nil ideal of A6
+    poly = DiffPoly(A6, [e(0), e(1)])  # e12 + e13 x
+    terms = rewrite_product(A6, D6, [e(3)], 0, (0,), (1, 1), 2)
+    return {
+        "apply": (RankMismatch, lambda: D3.apply(QQ, e(5))),
+        "iterates": (RankMismatch, lambda: D3.iterates(QQ, e(5), 2)),
+        "ore_multiply": (RankMismatch, lambda: ore_multiply(A6, D3, poly, poly)),
+        "minimal_nilpotency": (RankMismatch, lambda: minimal_nilpotency(A6, D3, [poly], 5)),
+        "minimal_nilpotency_cap_0": (RankMismatch, lambda: minimal_nilpotency(A6, D3, [poly], 0)),
+        "minimal_nilpotency_set": (RankMismatch, lambda: minimal_nilpotency(A3, D3, [poly], 3)),
+        "rewrite_product": (RankMismatch,
+                            lambda: rewrite_product(A6, D3, [e(3)], 0, (0,), (1, 1), 2)),
+        "evaluate_terms": (RankMismatch, lambda: evaluate_terms(A6, D3, [e(3)], terms)),
+        "b_sequence": (RankMismatch, lambda: b_sequence(A6, D3, [e(0)])),
+        "is_nil_ideal_ring": (ValueError, lambda: is_nil_ideal(strictly_upper_3x3(GF(5)), V3)),
+        "is_nil_ideal_rank": (RankMismatch, lambda: is_nil_ideal(A6, V3)),
+        "nilpotency_index": (RankMismatch, lambda: nilpotency_index(A6, V3)),
+        "check_delta_stability": (RankMismatch, lambda: check_delta_stability(A3, D6, V3)),
+        "verify_nilpotent_image": (RankMismatch,
+                                   lambda: verify_nilpotent_image(A6, D3, e(5), 2, N6)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_foreign_operand_cases()))
+def test_operands_of_another_algebra_refused(case):
+    error, call = _foreign_operand_cases()[case]
+    with pytest.raises(error):
+        call()
 
 
 # --- derivations -----------------------------------------------------------
@@ -803,6 +859,67 @@ def _ref_principal_ideal(A, b):
     return span
 
 
+def _ref_stability(A, delta, N):
+    """check_delta_stability by Derivation.apply on N's basis vectors."""
+    if not _ref_nil_ideal(A, N)[0]:
+        raise PreconditionViolated("stability check requires a verified nil ideal")
+    for v in N.basis:
+        image = delta.apply(A.ring, A.element(v))
+        if not N.contains(image):
+            return StabilityResult(False, (tuple(v), image))
+    return StabilityResult(True, None)
+
+
+def _ref_b_sequence(A, delta, T):
+    """Indices of span(T u delta(T) u ... u delta^n(T)) from ring-element
+    iterates, until delta^(n+1)(T) adds nothing to the span."""
+    iterates = [A.element(t) for t in T]
+    span_now = A.span(iterates)
+    prefix = []
+    while True:
+        b = _ref_nilpotency_index(A, span_now)
+        if b is None:
+            raise NotNilpotent(len(prefix))
+        prefix.append(b)
+        iterates = [delta.apply(A.ring, x) for x in iterates]
+        span_next = A.span([*span_now.basis, *iterates])
+        if span_next == span_now:
+            return BoundSequence(tuple(prefix), extend_tail=True)
+        span_now = span_next
+
+
+def _ref_nilpotent_image(A, delta, b, n, N):
+    """verify_nilpotent_image from A.mul products of the ring-element
+    iterates of b, padded with zeros to order n."""
+    if not _ref_nil_ideal(A, N)[0]:
+        raise PreconditionViolated("N must be a verified nil ideal")
+    if not A.is_zero_elem(A.product([b] * n)):
+        raise PreconditionViolated(f"b^{n} is nonzero")
+    table = leibniz_coefficients(n)
+    ideal = _ref_principal_ideal(A, b)
+    iterates = delta.iterates(A.ring, b, n)
+    iterates += [A.zero()] * (n + 1 - len(iterates))
+    terms_ok = all(ideal.contains(A.product([iterates[j] for j in comp]))
+                   for comp, _c in table.coefficients if 0 in comp)
+    c_top = table.coefficient((1,) * n)
+    lead = A.scale_int(c_top, A.product([iterates[1]] * n))
+    return NilpotentImageReport(
+        power_vanishes=True,
+        ideal_terms_in_n=terms_ok,
+        ideal_inside_n=all(N.contains(v) for v in ideal.basis),
+        leading_multiple_in_n=N.contains(lead),
+        leading_coefficient=c_top,
+    )
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and level of the orelab error it raises."""
+    try:
+        return f(*args)
+    except (NotNilpotent, PreconditionViolated) as exc:
+        return type(exc), getattr(exc, "level", None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(check_algebras(), st.integers(1, 3), st.integers(0, 2**32))
 def test_closure_checks_match_reference_loops(A, size, seed):
@@ -813,6 +930,11 @@ def test_closure_checks_match_reference_loops(A, size, seed):
     pool += [A.basis_element(i) for i in range(A.rank)]
     pool += [A.mul(x, y) for x in pool[:3] for y in pool]
     elems = [rng.choice(pool) for _ in range(size)]
+    if A.ring.is_field:
+        D = random_derivation(A, rng)
+    else:
+        D = inner_derivation(A, random_element(A, rng))
+    assert _outcome(b_sequence, A, D, elems) == _outcome(_ref_b_sequence, A, D, elems)
     ideal = principal_ideal(A, elems[0])
     assert ideal == _ref_principal_ideal(A, elems[0])
     for V in (A.span(elems), ideal):
@@ -820,6 +942,8 @@ def test_closure_checks_match_reference_loops(A, size, seed):
         expected = _ref_nil_ideal(A, V)
         assert (ok, cert.nilpotency_index, cert.closure_failure) == expected
         assert nilpotency_index(A, V) == _ref_nilpotency_index(A, V)
+        stability = _outcome(check_delta_stability, A, D, V)
+        assert stability == _outcome(_ref_stability, A, D, V)
         if expected[2] is None:
             # on a two-sided ideal neither check multiplies ring elements
             calls = []
@@ -830,6 +954,22 @@ def test_closure_checks_match_reference_loops(A, size, seed):
             finally:
                 del A.mul
             assert not calls
+        if ok and stability.stable:
+            # nor does a stable stability check apply delta to them
+            calls = []
+
+            def record(*args):
+                calls.append(args)
+
+            with patch.object(Algebra, "mul", record), patch.object(Derivation, "apply", record):
+                check_delta_stability(A, D, V)
+            assert not calls
+        if ok:
+            # b in the nil ideal V, so b^n = 0 at V's index n
+            b = A.linear_combination([(rng.randint(-2, 2), v) for v in V.basis])
+            n = cert.nilpotency_index
+            assert (verify_nilpotent_image(A, D, b, n, V)
+                    == _ref_nilpotent_image(A, D, b, n, V))
 
 
 def test_b_sequence_examples():

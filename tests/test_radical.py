@@ -168,6 +168,20 @@ def test_charp_counterexample(p):
     assert image == A.basis_element(0)
 
 
+def test_stability_witness_is_a_basis_vector():
+    # every subspace holding e13 = A^2 is an ideal of strictly upper 3x3;
+    # N's stored row for e12 + e23/2 is (2, 0, 1), its basis vector
+    # (1, 0, 1/2), and delta = diag(1, 1, 0) maps it to e12, outside N
+    A = strictly_upper_3x3()
+    half = QQ.one / 2
+    N = A.span([(QQ.one, QQ.zero, half), A.basis_element(1)])
+    assert N.rows[0] == (2, 0, 1)
+    D = verify_leibniz(A, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+    res = check_delta_stability(A, D, N)
+    assert not res.stable
+    assert res.witness == ((QQ.one, QQ.zero, half), A.basis_element(0))
+
+
 def test_stability_requires_verified_ideal():
     A = upper_2x2()
     with pytest.raises(PreconditionViolated):
