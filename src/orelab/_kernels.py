@@ -14,6 +14,12 @@ CMP_LESS = -1
 CMP_GREATER = 1
 CMP_INCOMPARABLE = 2
 
+# Words of at least this many letters are long: b_bounded scans them by
+# the byte path, and the word layer memoises their weight and boundedness
+# on the Word. The shorter words the oracle and the Ore layer check are
+# mostly asked once, so a memo entry would only add to their cost.
+LONG_WORD = 64
+
 
 def weight(letters) -> int:
     """Minimum over all permutations of sum (n+1-i) * letter_{sigma(i)}.
@@ -80,7 +86,7 @@ def b_bounded(letters, prefix, extend_tail: bool) -> int:
     if not extend_tail and L <= mx:
         return -1
     top = mx if mx < L - 1 else L - 1
-    short = _runs_short_bytes(letters, prefix, top) if n >= 64 else None
+    short = _runs_short_bytes(letters, prefix, top) if n >= LONG_WORD else None
     if short is None:
         short = _runs_short_stack(letters, prefix, top)
     if not short:

@@ -47,13 +47,13 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from operator import add
+from operator import add, index
 from random import Random
 from typing import NamedTuple
 
 from . import _kernels as kernels
 from .errors import ConstructionFailed
-from .words import BoundSequence, Word
+from .words import BoundSequence, Word, weight
 
 
 def arithmetic_bounds(length: int) -> BoundSequence:
@@ -172,8 +172,9 @@ def random_valid_word(n: int, k: int, rng: Random) -> Word:
 
     Raises ValueError for n < 1, and when even the base construction
     exceeds the weight budget at this length (thin set of lengths near
-    powers of two).
+    powers of two). The word comes back with its weight memoised.
     """
+    n, k = index(n), index(k)
     if n < 1:
         raise ValueError(f"word length must be at least 1, got {n}")
     lay = _layout(n)
@@ -184,15 +185,14 @@ def random_valid_word(n: int, k: int, rng: Random) -> Word:
             f"no {k}-valid layered word of length {n}: base construction "
             f"weighs {w} against budget {budget}"
         )
-    if lay.full_weight <= budget:
+    bulk = lay.full_weight <= budget
+    if bulk:
         # two random bits per position; the pair is nonzero with probability 3/4
         bits = rng.getrandbits(2 * n)
         coins = bytearray(f"{bits | bits >> 1:0{2 * n}b}"[-1::-2].encode().translate(_BITS))
         for i in lay.positions[lay.top:]:
             coins[i] = 0
         letters = list(map(add, lay.letters, coins))
-        if kernels.weight(letters) > budget:
-            raise ConstructionFailed(f"bulk increments overran the budget {budget}")
     else:
         slack = budget - w
         # [start, size, unvisited, cost, raised] per letter group
@@ -217,8 +217,12 @@ def random_valid_word(n: int, k: int, rng: Random) -> Word:
         for start, size, _, _, raised in state:
             for j in rng.sample(range(size), raised):
                 letters[positions[start + j]] += 1
-        if kernels.weight(letters) != w:
-            raise ConstructionFailed(f"tracked weight {w} does not match the sampled word")
     if rng.random() < 0.5:
         letters.reverse()
-    return Word(letters)
+    u = Word(letters)
+    if bulk:
+        if weight(u) > budget:
+            raise ConstructionFailed(f"bulk increments overran the budget {budget}")
+    elif weight(u) != w:
+        raise ConstructionFailed(f"tracked weight {w} does not match the sampled word")
+    return u

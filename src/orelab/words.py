@@ -4,7 +4,9 @@ builder.
 
 Letters are natural numbers; the order on words is prefix-lexicographic
 (words where one is a strict prefix of the other are incomparable). All
-arithmetic is exact: integers and Fractions only.
+arithmetic is exact: integers and Fractions only. Integer parameters (k, d,
+lengths) go through operator.index, as letters do, so k = 1.5 raises
+TypeError rather than giving a verdict.
 """
 
 from __future__ import annotations
@@ -51,9 +53,20 @@ class Word:
 
     Letters go through operator.index, so a float or a string letter
     raises TypeError rather than being truncated or parsed.
+
+    A long Word (at least `_kernels.LONG_WORD` letters) memoises what the
+    word layer asks of its letters: the weight, and the
+    `_kernels.b_bounded` code per BoundSequence (equal sequences share one
+    entry). Both are filled on first use; they are class-level None until
+    then and are not dataclass fields, so equality, hash and repr see the
+    letters only. A short word is scanned afresh on every ask: most are
+    asked once, and a memo entry would only add to their cost.
     """
 
     letters: tuple[int, ...]
+
+    _weight = None
+    _bounded = None
 
     def __init__(self, letters):
         letters = tuple(map(index, letters))
@@ -92,6 +105,8 @@ class BoundSequence:
     prefix: tuple[int, ...]
     extend_tail: bool = True
 
+    _hash = None
+
     def __init__(self, prefix, extend_tail: bool = True):
         prefix = tuple(map(index, prefix))
         if not prefix:
@@ -100,6 +115,15 @@ class BoundSequence:
             raise ValueError("bound sequence entries are >= 1")
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "extend_tail", bool(extend_tail))
+
+    def __hash__(self):
+        # a Word's boundedness memo is keyed by the sequence, whose prefix
+        # can run to thousands of entries: hash it once
+        h = self._hash
+        if h is None:
+            h = hash((self.prefix, self.extend_tail))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def determines(self, m: int) -> bool:
         return m < len(self.prefix) or self.extend_tail
@@ -225,7 +249,14 @@ def compare(u, v) -> Ordering:
 
 
 def weight(u) -> int:
-    return kernels.weight(as_word(u).letters)
+    u = as_word(u)
+    w = u._weight
+    if w is None:
+        letters = u.letters
+        w = kernels.weight(letters)
+        if len(letters) >= kernels.LONG_WORD:
+            object.__setattr__(u, "_weight", w)
+    return w
 
 
 def weight_bruteforce(u) -> int:
@@ -247,14 +278,30 @@ def weight_bruteforce(u) -> int:
 
 
 def is_k_valid(u, k: int) -> bool:
+    k = index(k)
     if k < 1:
         raise ValueError("k is a positive integer")
-    return kernels.k_valid(as_word(u).letters, k)
+    u = as_word(u)
+    letters = u.letters
+    n = len(letters)
+    if n < kernels.LONG_WORD:
+        return kernels.k_valid(letters, k)
+    return weight(u) <= k * (n * (n + 1) // 2)
 
 
 def is_b_bounded(u, b: BoundSequence) -> bool:
     u = as_word(u)
-    code = kernels.b_bounded(u.letters, b.prefix, b.extend_tail)
+    letters = u.letters
+    if len(letters) < kernels.LONG_WORD:
+        code = kernels.b_bounded(letters, b.prefix, b.extend_tail)
+    else:
+        memo = u._bounded
+        if memo is None:
+            memo = {}
+            object.__setattr__(u, "_bounded", memo)
+        code = memo.get(b)
+        if code is None:
+            code = memo[b] = kernels.b_bounded(letters, b.prefix, b.extend_tail)
     if code == -1:
         raise InsufficientBoundData(max(u.letters), len(b.prefix))
     return bool(code)
@@ -326,6 +373,7 @@ def _search_decreasing(word: Word, d: int, window_start: int,
 def find_d_decreasing(u, d: int) -> Factorization | None:
     """Factorization u = v w_1...w_d x with strictly decreasing blocks, or
     None. d = 0 always succeeds with an empty block list."""
+    d = index(d)
     if d < 0:
         raise ValueError("d is a natural number")
     return _search_decreasing(as_word(u), d, 0, None)
@@ -334,6 +382,7 @@ def find_d_decreasing(u, d: int) -> Factorization | None:
 def find_d_decreasing_constrained(u, d: int, eps, M: int) -> Factorization | None:
     """As find_d_decreasing, but blocks lie in the final floor(eps*n)
     letters and every block's first letter is below M."""
+    d = index(d)
     if d < 0:
         raise ValueError("d is a natural number")
     u = as_word(u)
@@ -373,6 +422,7 @@ def compute_bounds(d: int, b: BoundSequence, k: int, eps) -> BoundsResult:
     (generalized binomial; exact rational root isolation). Strictness
     N2 > N1 is restored by bumping on equality.
     """
+    d, k = index(d), index(k)
     if d < 0:
         raise ValueError("d is a natural number")
     if k < 1:
@@ -426,6 +476,7 @@ def decreasing_witness(u, d: int, b: BoundSequence, k: int, eps,
     and prepend the block starting at that letter.
     """
     u = as_word(u)
+    d, k = index(d), index(k)
     eps = Fraction(eps)
     if d < 0:
         raise ValueError("d is a natural number")
@@ -546,6 +597,7 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
 
     `workers` is accepted and ignored.
     """
+    d, k, max_n, max_letter = index(d), index(k), index(max_n), index(max_letter)
     if max_n < 1:
         raise ValueError("max_n is at least 1")
     if d < 0:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orelab import _kernels
 from orelab.errors import (
     FactorialCapExceeded,
     InsufficientBoundData,
@@ -253,6 +254,97 @@ def test_b_bounded_matches_naive_on_long_words(case):
     assert is_b_bounded(u, b) == _b_bounded_naive(u, b)
 
 
+# --- the per-Word memo ----------------------------------------------------
+
+def _count_kernel_calls(monkeypatch, names=("weight", "b_bounded")):
+    """Wrap the named _kernels functions; returns the call Counter."""
+    calls = Counter()
+    for name in names:
+        def counting(*args, _real=getattr(_kernels, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(_kernels, name, counting)
+    return calls
+
+
+MEMO_BOUNDS = (
+    BoundSequence((2, 3, 4)),
+    BoundSequence((2, 4, 6, 8), extend_tail=False),
+    BoundSequence(range(2, 40)),
+    BoundSequence(range(3, 300), extend_tail=False),
+    BoundSequence((400,)),
+)
+
+
+def test_memo_matches_fresh_kernels(monkeypatch):
+    rng = random.Random(41)
+    cases = [tuple(rng.randrange(top) for _ in range(n))
+             for n in (1, 5, 40, 63, 64, 200, 700) for top in (3, 12, 90)]
+    cases += [random_valid_word(n, k, rng).letters for n in (20, 200) for k in (1, 2)]
+    for letters in cases:
+        u = Word(letters)
+        for _ in range(2):  # the second pass reads the memo
+            assert weight(u) == _kernels.weight(letters)
+            n = len(letters)
+            for k in (1, 2, 3):
+                assert is_k_valid(u, k) == (_kernels.weight(letters) <= k * n * (n + 1) // 2)
+            for b in MEMO_BOUNDS:
+                code = _kernels.b_bounded(letters, b.prefix, b.extend_tail)
+                if code == -1:
+                    with pytest.raises(InsufficientBoundData):
+                        is_b_bounded(u, b)
+                else:
+                    assert is_b_bounded(u, b) == bool(code)
+    # every fact was computed once per word, the rest were lookups
+    calls = _count_kernel_calls(monkeypatch)
+    u = Word(cases[-1])
+    for _ in range(3):
+        weight(u), is_k_valid(u, 1)
+        for b in MEMO_BOUNDS:
+            try:
+                is_b_bounded(u, b)
+            except InsufficientBoundData:
+                pass
+    assert calls == {"weight": 1, "b_bounded": len(MEMO_BOUNDS)}
+
+
+def test_memo_keeps_verdicts_per_bound_sequence():
+    u = Word((0, 1, 0, 1) * 20)
+    loose = BoundSequence((2, 81))
+    tight = BoundSequence((2, 4))
+    for _ in range(3):
+        assert is_b_bounded(u, loose)
+        assert not is_b_bounded(u, tight)
+
+
+def test_memo_shares_equal_bound_sequences(monkeypatch):
+    u = random_valid_word(200, 1, random.Random(2))
+    b = arithmetic_bounds(200)
+    twin = BoundSequence(b.prefix, extend_tail=b.extend_tail)
+    assert twin == b and twin is not b and hash(twin) == hash(b)
+    calls = _count_kernel_calls(monkeypatch)
+    assert is_b_bounded(u, b) and is_b_bounded(u, twin)
+    assert calls == {"b_bounded": 1}
+
+
+def test_memo_raises_every_time_b_cannot_judge():
+    for letters in ((0, 3, 0), (0, 1, 5) * 30):
+        u = Word(letters)
+        b = BoundSequence((2, 4), extend_tail=False)
+        for _ in range(3):
+            with pytest.raises(InsufficientBoundData):
+                is_b_bounded(u, b)
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    letters = random_valid_word(200, 1, random.Random(3)).letters
+    checked, fresh = Word(letters), Word(letters)
+    assert weight(checked) > 0 and is_b_bounded(checked, arithmetic_bounds(200))
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert repr(checked) == repr(fresh)
+    assert fresh in {checked} and {checked: 1}[fresh] == 1
+
+
 # --- decreasing factorizations -------------------------------------------
 
 def _all_factorizations(word: Word, d: int):
@@ -456,6 +548,33 @@ def test_witness_rejects_invalid_inputs():
         decreasing_witness(good, 1, arithmetic_bounds(20), 1, Fraction(1, 2))  # too short
 
 
+def test_witness_rejects_checked_invalid_words():
+    # a word whose verdicts are already memoised is still refused, each time
+    b = arithmetic_bounds(64)
+    for u in (Word((9,) * 70), Word((0,) * 70)):
+        is_k_valid(u, 1), is_b_bounded(u, b)
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated):
+                decreasing_witness(u, 1, b, 1, 1)
+
+
+def test_witness_path_scans_the_word_once(monkeypatch):
+    """Sampling, the caller's two checks and the witness on one b weigh the
+    word once and scan it for boundedness once."""
+    d, k, eps = 2, 1, Fraction(1, 2)
+    probe = compute_bounds(d, arithmetic_bounds(4096), k, eps)
+    b = arithmetic_bounds(max(probe.N, max(lev.M1 for lev in probe.trace) + 2))
+    bounds = compute_bounds(d, b, k, eps)
+    assert bounds.N == 9254
+    random_valid_word(bounds.N, k, random.Random(0))  # builds the per-length layout
+    calls = _count_kernel_calls(monkeypatch)
+    u = random_valid_word(bounds.N, k, random.Random(1))
+    assert is_k_valid(u, k)
+    assert is_b_bounded(u, b)
+    assert decreasing_witness(u, d, b, k, eps, bounds=bounds).block_count == d
+    assert calls == {"weight": 1, "b_bounded": 1}
+
+
 def test_witness_rejects_bad_parameters():
     b = arithmetic_bounds(64)
     bounds = compute_bounds(1, b, 1, 1)
@@ -616,6 +735,32 @@ def test_oracle_searches_once_per_failing_length(monkeypatch):
     assert minimal_N_oracle(3, BoundSequence((2, 4, 6, 8, 10)), 1, 9, 4) is None
     assert len(calls) == 9
     assert [len(u) for u in calls] == list(range(1, 10))
+
+
+# --- non-integral parameters -------------------------------------------------
+
+_B = BoundSequence((2, 4, 6))
+NON_INTEGRAL = {
+    "is_k_valid": lambda: is_k_valid((1, 0, 2), 1.5),
+    "random_valid_word_k": lambda: random_valid_word(20, 1.5, random.Random(0)),
+    "random_valid_word_n": lambda: random_valid_word(20.0, 1, random.Random(0)),
+    "compute_bounds_k": lambda: compute_bounds(1, _B, 1.5, 1),
+    "compute_bounds_d": lambda: compute_bounds(1.0, _B, 1, 1),
+    "decreasing_witness_k": lambda: decreasing_witness((1, 0, 2), 0, _B, 1.5, 1),
+    "decreasing_witness_d": lambda: decreasing_witness((1, 0, 2), 0.5, _B, 1, 1),
+    "minimal_N_oracle_k": lambda: minimal_N_oracle(2, _B, 1.5, 5, 3),
+    "minimal_N_oracle_d": lambda: minimal_N_oracle(Fraction(2), _B, 1, 5, 3),
+    "minimal_N_oracle_max_n": lambda: minimal_N_oracle(2, _B, 1, 5.0, 3),
+    "find_d_decreasing": lambda: find_d_decreasing((3, 2, 1), 1.5),
+    "find_d_decreasing_constrained": lambda: find_d_decreasing_constrained((3, 2, 1), 1.5, 1, 5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL.values(), ids=NON_INTEGRAL.keys())
+def test_non_integral_parameters_are_refused(call):
+    # refused at the entry point, as a non-integral letter is
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
 
 
 # --- generator sanity -------------------------------------------------------
