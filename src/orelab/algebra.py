@@ -107,14 +107,13 @@ class Algebra:
     def linear_combination(self, pairs):
         """Sum of m * x over (integer m, element x) pairs, with one exact
         reduction per coordinate."""
-        return self._combine_num([(m, *_numerators(self.ring, x)) for m, x in pairs if m])
+        terms = [(m, *_numerators(self.ring, x)) for m, x in pairs if m]
+        return _from_numerators(self.ring, *self._sum_num(terms))
 
-    def _combine_num(self, terms):
+    def _sum_num(self, terms):
         """Sum of m * nums / den over (integer m, numerators nums,
-        denominator den) triples, as a ring element: the numerators are
-        brought to one common denominator and reduced once per coordinate."""
-        if not terms:
-            return self._zero
+        denominator den) triples, as (numerators, denominator) over one
+        common denominator, not reduced mod p (as `_mul_num`)."""
         den = lcm(*[d for _, _, d in terms])
         acc = [0] * self.rank
         for m, nums, d in terms:
@@ -122,7 +121,7 @@ class Algebra:
             for k, n in enumerate(nums):
                 if n:
                     acc[k] += f * n
-        return _from_numerators(self.ring, acc, den)
+        return acc, den
 
     def mul(self, x, y):
         """Bilinear product via the structure constants, in every ring:
@@ -245,6 +244,9 @@ class Derivation:
         )
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", rows)
+        # (ring, element) -> (its numerator chain, whether it reached zero);
+        # see `_chain`
+        object.__setattr__(self, "_chains", {})
 
     def apply(self, ring: CoeffRing, x):
         self._check_length(x)
@@ -284,6 +286,29 @@ class Derivation:
             if not any(x):
                 break
             chain.append((x, den))
+        return chain
+
+    def _chain(self, ring: CoeffRing, x, order: int) -> tuple:
+        """`_iterates_num` of the ring element x up to `order`, memoised by
+        (ring, x): a tuple of (numerators, denominator) pairs with tuple
+        numerators, so no caller can change a stored chain. The memo keeps
+        the longest prefix computed so far and whether it reached zero, and
+        extends the prefix when a larger order is asked."""
+        key = (ring, x)
+        entry = self._chains.get(key)
+        if entry is None:
+            chain, ended = (), False
+            start, steps = _numerators(ring, x), order
+        else:
+            chain, ended = entry
+            if ended or len(chain) > order:
+                return chain[:order + 1]
+            # extend from the last stored iterate; `_iterates_num` returns it first
+            start, steps = chain[-1], order - len(chain) + 1
+            chain = chain[:-1]
+        new = self._iterates_num(ring, *start, steps)
+        chain += tuple((tuple(nums), den) for nums, den in new)
+        self._chains[key] = (chain, len(new) <= steps)
         return chain
 
     @property

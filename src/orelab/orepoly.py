@@ -16,7 +16,7 @@ from .algebra import (Algebra, Derivation, MultilinearIdentity, _check_operands,
                       verify_identity)
 from .errors import BudgetExceeded, ExponentTooLarge, IdentityFails
 from .linalg import Subspace
-from .rings import _numerators, _reduce
+from .rings import _from_numerators, _numerators, _reduce
 from .words import Word, compute_bounds
 
 # largest span dimension a power of a polynomial set may reach before the
@@ -53,6 +53,8 @@ class DiffPoly:
 
     @classmethod
     def monomial(cls, A: Algebra, a, degree: int) -> "DiffPoly":
+        if degree < 0:
+            raise ValueError("degree is a natural number")
         return cls(A, [A.zero()] * degree + [a])
 
     @property
@@ -133,16 +135,29 @@ def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> Dif
         return DiffPoly.zero(A)
     ring = A.ring
     fnums = [_numerators(ring, fa) if any(fa) else None for fa in f.coeffs]
-    by_degree = [[] for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
-    for j, gb in enumerate(g.coeffs):
-        chain = delta._iterates_num(ring, *_numerators(ring, gb), f.degree) if any(gb) else ()
+    chains = [delta._iterates_num(ring, *_numerators(ring, gb), f.degree) if any(gb) else ()
+              for gb in g.coeffs]
+    return DiffPoly(A, [_from_numerators(ring, *A._sum_num(terms))
+                        for terms in _ore_terms(A, fnums, chains)])
+
+
+def _ore_terms(A: Algebra, fnums, chains) -> list:
+    """The product loop of `ore_multiply` on integer numerators: the terms
+    (binomial, numerators, denominator) of f * g by x-degree, for f given
+    as (numerators, denominator) per x-degree (None where zero) and g as
+    the delta-chain of its coefficient per x-degree (() where zero), each
+    chain reaching at least the degree of f."""
+    by_degree = [[] for _ in range(len(fnums) + len(chains) - 1)]
+    for j, chain in enumerate(chains):
+        if not chain:
+            continue
         for i, fa in enumerate(fnums):
             if fa is None:
                 continue
             # fa x^i * gb x^j = sum_t C(i,t) fa delta^t(gb) x^(i-t+j)
             for t, cur in enumerate(chain[:i + 1]):
                 by_degree[i - t + j].append((comb(i, t), *A._mul_num(*fa, *cur)))
-    return DiffPoly(A, [A._combine_num(terms) for terms in by_degree])
+    return by_degree
 
 
 def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
@@ -172,6 +187,27 @@ class CanonicalTerm:
         return f"{self.coeff} | {idx} | {js} | {self.xdeg}"
 
 
+def _check_factors(A: Algebra, delta: Derivation, generators, head: int, indices,
+                   exponents):
+    """(generators as elements, indices, exponents) of the product
+    a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}}; ValueError unless there
+    is at least one factor after the head, every index selects a
+    generator, and there is one natural exponent per x-block."""
+    _check_operands(A, delta)
+    gens = [A.element(g) for g in generators]
+    gen_indices = tuple(map(int, indices))
+    exps = list(map(int, exponents))
+    if not gen_indices:
+        raise ValueError("need at least one factor after the head")
+    if not (0 <= head < len(gens) and 0 <= min(gen_indices) and max(gen_indices) < len(gens)):
+        raise ValueError("head/indices out of range of the generator list")
+    if len(exps) != len(gen_indices) + 1:
+        raise ValueError("need one exponent per x-block: p_1..p_{n+1}")
+    if min(exps) < 0:
+        raise ValueError("exponents are natural numbers")
+    return gens, gen_indices, exps
+
+
 def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
                     indices, exponents, k: int) -> list[CanonicalTerm]:
     """Canonical terms of a_{i0} x^{p_1} a_{i_1} x^{p_2} ... a_{i_n} x^{p_{n+1}}.
@@ -185,26 +221,14 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     Every partial product visited counts against DEFAULT_REWRITE_BUDGET;
     BudgetExceeded is raised when the count passes it.
     """
-    _check_operands(A, delta)
-    gens = [A.element(g) for g in generators]
-    gen_indices = tuple(int(i) for i in indices)
-    exps = [int(p) for p in exponents]
+    gens, gen_indices, exps = _check_factors(A, delta, generators, head, indices, exponents)
     n = len(gen_indices)
-    if n < 1:
-        raise ValueError("need at least one factor after the head")
-    if not 0 <= head < len(gens) or any(not 0 <= i < len(gens) for i in gen_indices):
-        raise ValueError("head/indices out of range of the generator list")
-    if len(exps) != n + 1:
-        raise ValueError("need one exponent per x-block: p_1..p_{n+1}")
-    if any(p < 0 for p in exps):
-        raise ValueError("exponents are natural numbers")
-    if any(p > k for p in exps):
+    if max(exps) > k:
         raise ExponentTooLarge(f"exponents {exps} exceed k={k}")
 
     # per factor, the number of nonzero delta-iterates up to the largest
     # possible carried degree: delta^j(a) is nonzero exactly for j < reach
-    chain_len = {i: len(delta._iterates_num(A.ring, *_numerators(A.ring, gens[i]), sum(exps)))
-                 for i in set(gen_indices)}
+    chain_len = {i: len(delta._chain(A.ring, gens[i], sum(exps))) for i in set(gen_indices)}
     reach = [chain_len[i] for i in gen_indices]
 
     budget = DEFAULT_REWRITE_BUDGET
@@ -243,17 +267,19 @@ def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly
     term before it, so the sorted output of `rewrite_product` costs one
     product per distinct j-prefix. A term stops at its first zero partial
     product. Products stay integer numerators until the one reduction per
-    x-degree.
+    x-degree. The delta-chains and the heads' numerators come from the
+    derivation's memo (`Derivation._chain`).
     """
     _check_operands(A, delta)
     terms = list(terms)
     ring = A.ring
     order: dict = {}  # generator index -> highest delta-order a term asks of it
     for t in terms:
+        order.setdefault(t.head, 0)
         for idx, j in zip(t.indices, t.jword.letters):
             if j > order.get(idx, -1):
                 order[idx] = j
-    chains = {idx: delta._iterates_num(ring, *_numerators(ring, A.element(generators[idx])), j)
+    chains = {idx: delta._chain(ring, A.element(generators[idx]), j)
               for idx, j in order.items()}
     by_degree: dict = {}
     # the previous term's factors (its head, then (index, j) pairs) and the
@@ -269,7 +295,8 @@ def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly
         del path[s:], prods[s:]
         for s in range(s, len(key)):
             if s == 0:
-                cur = _numerators(ring, A.element(generators[t.head]))
+                chain = chains[t.head]
+                cur = chain[0] if chain else ((), 1)
             elif prods[-1] is None:
                 break
             else:
@@ -284,18 +311,42 @@ def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly
         if prods[-1] is not None and t.coeff:
             by_degree.setdefault(t.xdeg, []).append((t.coeff, *prods[-1]))
     top = max(by_degree, default=-1)
-    return DiffPoly(A, [A._combine_num(by_degree.get(d, ())) for d in range(top + 1)])
+    return DiffPoly(A, [_from_numerators(ring, *A._sum_num(by_degree.get(d, ())))
+                        for d in range(top + 1)])
 
 
 def direct_product(A: Algebra, delta: Derivation, generators, head: int,
                    gen_indices, exponents) -> DiffPoly:
-    """a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}} by plain Ore multiplication."""
-    gens = list(generators)
-    exps = list(exponents)
-    factors = [DiffPoly.monomial(A, A.element(gens[head]), exps[0])]
+    """a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}} by plain Ore multiplication.
+
+    The factors are taken as in `rewrite_product`, with the same checks.
+    Equal to `ore_product` over the monomials a_head x^{p_1},
+    a_{i_1} x^{p_2}, ..., but the running product stays integer
+    numerators, (numerators, denominator) or None per x-degree, reduced
+    mod p once per factor; its coefficients become ring elements at the end.
+    """
+    gens, gen_indices, exps = _check_factors(A, delta, generators, head, gen_indices, exponents)
+    ring = A.ring
+    chain = delta._chain(ring, gens[head], 0)
+    if not chain:
+        return DiffPoly.zero(A)
+    acc = [None] * exps[0] + [chain[0]]
     for idx, p in zip(gen_indices, exps[1:]):
-        factors.append(DiffPoly.monomial(A, A.element(gens[idx]), p))
-    return ore_product(A, delta, factors)
+        chain = delta._chain(ring, gens[idx], len(acc) - 1)
+        acc = [_sum_reduced(A, terms) for terms in _ore_terms(A, acc, [()] * p + [chain])]
+        while acc and acc[-1] is None:
+            acc.pop()
+        if not acc:
+            return DiffPoly.zero(A)
+    return DiffPoly(A, [_from_numerators(ring, *c) if c else A.zero() for c in acc])
+
+
+def _sum_reduced(A: Algebra, terms):
+    """The sum of (binomial, numerators, denominator) terms as
+    (numerators reduced mod p, denominator), or None when it is zero."""
+    nums, den = A._sum_num(terms)
+    nums = _reduce(A.ring, nums)
+    return (nums, den) if any(nums) else None
 
 
 def _poly_vector(A: Algebra, f: DiffPoly, deg_cap: int):

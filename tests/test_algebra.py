@@ -1,6 +1,7 @@
 """Structure-constant algebras, derivations, identities, spans, and the
 definition-file format."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -79,7 +80,7 @@ from orelab.radical import (
     principal_ideal,
     verify_nilpotent_image,
 )
-from orelab.rings import GF, QQ, ZZ, _from_numerators
+from orelab.rings import GF, QQ, ZZ, _from_numerators, _numerators
 from orelab.words import BoundSequence, Word
 
 
@@ -282,6 +283,97 @@ def test_iterates_match_repeated_apply(rng):
         assert D.iterates(A.ring, x, 17) == expected[:18]
     # delta(x) = 28 e12, zero only mod 7
     assert D.iterates(A.ring, (2, 4, 6), 40) == [(2, 4, 6)]
+
+
+def _unmemoised_chain(A, D, x, order):
+    return tuple((tuple(nums), den)
+                 for nums, den in D._iterates_num(A.ring, *_numerators(A.ring, x), order))
+
+
+def _counting_iterates(monkeypatch):
+    """Count Derivation._iterates_num calls, on every derivation."""
+    calls = []
+    iterates_num = Derivation._iterates_num
+
+    def counted(self, *args):
+        calls.append(args)
+        return iterates_num(self, *args)
+
+    monkeypatch.setattr(Derivation, "_iterates_num", counted)
+    return calls
+
+
+def test_chain_memo_matches_unmemoised_iterates(rng, monkeypatch):
+    """The memoised chain equals `_iterates_num` for orders asked rising,
+    then falling, on a fresh derivation: a QQ conjugate with fractional
+    iterates, a chain that ends at zero, charp_truncated(p), the zero
+    element, and a chain that ends only mod p. Once the chain is known to
+    end, or to reach the order asked, no further chain is computed."""
+    upper = strictly_upper_3x3(ZZ)
+    ad = inner_derivation(upper, upper.basis_element(0))  # e23 -> e13 -> 0
+    A = random_conjugate(upper_2x2(), rng)
+    cases = [(A, random_derivation(A, rng), random_element(A, rng)),
+             (upper, ad, upper.basis_element(2)), (upper, ad, upper.zero())]
+    for p in (2, 3, 5):
+        A, D = charp_truncated(p)
+        cases += [(A, D, A.basis_element(p - 1)), (A, D, random_element(A, rng))]
+    A = upper_2x2(GF(7))
+    cases.append((A, inner_derivation(A, (3, 5, 1)), (2, 4, 6)))  # delta(x) = 28 e12
+    rising, falling = [0, 1, 3, 7], [6, 2, 0]
+    for A, D, x in cases:
+        want = {o: _unmemoised_chain(A, D, x, o) for o in rising}
+        D = Derivation(D.matrix)
+        calls = _counting_iterates(monkeypatch)
+        computed = 0
+        for s, order in enumerate(rising):
+            if not any(len(want[o]) <= o for o in rising[:s]):
+                computed += 1  # one extension per larger order until the chain ends
+            assert D._chain(A.ring, x, order) == want[order]
+            assert len(calls) == computed
+        for order in falling:
+            assert D._chain(A.ring, x, order) == want[7][:order + 1]
+        assert len(calls) == computed
+        monkeypatch.undo()
+    assert want[7] == (((2, 4, 6), 1),)
+
+
+def test_chain_memo_entries_are_shared_and_immutable(monkeypatch):
+    """Equal but distinct element tuples make one computation, and the
+    stored chain is a tuple of (tuple numerators, denominator) pairs."""
+    A = truncated_polynomial(QQ, 3)
+    D = scaling_derivation(A, 3, QQ.from_int(2))
+    x = (Fraction(1, 2), Fraction(3), Fraction(-2, 3))
+    y = tuple(Fraction(a.numerator, a.denominator) for a in x)
+    assert x == y and x is not y
+    calls = _counting_iterates(monkeypatch)
+    first = D._chain(A.ring, x, 4)
+    assert D._chain(A.ring, y, 4) is first
+    assert D._chain(A.ring, y, 2) == first[:3]
+    assert len(calls) == 1
+    assert type(first) is tuple and len(first) == 5
+    for nums, den in first:
+        assert type(nums) is tuple and type(den) is int
+    with pytest.raises(TypeError):
+        first[0][0][0] = 5
+    # another ring is another key, even for the same tuple
+    D._chain(GF(5), (1, 2, 3), 1)
+    D._chain(QQ, (1, 2, 3), 1)
+    assert len(calls) == 3
+
+
+def test_chain_memo_leaves_derivation_value_unchanged():
+    """The memo is no dataclass field: equality, hash and repr of a
+    derivation whose memo is filled are those of a fresh one."""
+    A = upper_2x2()
+    D = inner_derivation(A, (Fraction(1), Fraction(2), Fraction(-1, 3)))
+    fresh = Derivation(D.matrix)
+    before = repr(D)
+    D._chain(A.ring, A.basis_element(1), 3)
+    D._chain(A.ring, A.basis_element(0), 5)
+    assert D._chains
+    assert [f.name for f in dataclasses.fields(D)] == ["matrix"]
+    assert D == fresh and hash(D) == hash(fresh)
+    assert repr(D) == repr(fresh) == before
 
 
 def test_leibniz_holds_on_random_pairs(rng):

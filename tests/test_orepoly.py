@@ -8,7 +8,7 @@ from conftest import random_conjugate, random_derivation, random_element, trunca
 
 from orelab import orepoly
 
-from orelab.algebra import inner_derivation, verify_leibniz
+from orelab.algebra import Derivation, inner_derivation, verify_leibniz
 from orelab.catalog import (
     charp_truncated,
     scaling_derivation,
@@ -295,6 +295,120 @@ def test_evaluate_terms_stops_at_a_zero_prefix(monkeypatch):
     assert len(calls) == 5
     assert got.coeffs == ((0, 2, 0), (0, 0, 0), (0, -3, 0))
     assert got == _per_term_evaluate(A, D, gens, terms)
+
+
+# --- the direct product -------------------------------------------------------
+
+def _monomial_product(A, D, gens, head, idx, exps):
+    """The reference: ore_product over the monomials a_head x^{p_1}, ..."""
+    factors = [DiffPoly.monomial(A, gens[i], p) for i, p in zip((head, *idx), exps)]
+    return orepoly.ore_product(A, D, factors)
+
+
+@pytest.mark.parametrize("product", [
+    lambda A, D, gens, head, idx, exps: direct_product(A, D, gens, head, idx, exps),
+    lambda A, D, gens, head, idx, exps: rewrite_product(A, D, gens, head, idx, exps, 5),
+], ids=["direct", "rewrite"])
+@pytest.mark.parametrize("head, idx, exps, message", [
+    (0, [2], (1,), "one exponent per x-block"),
+    (0, [2], (1, 1, 5), "one exponent per x-block"),
+    (0, [2], (-1, 0), "natural numbers"),
+    (-1, [2], (1, 0), "out of range"),
+    (5, [2], (1, 0), "out of range"),
+    (0, [3], (1, 0), "out of range"),
+    (0, [], (1,), "at least one factor"),
+])
+def test_products_refuse_malformed_factors(product, head, idx, exps, message):
+    """Both products check the factors alike: an exponent list of the wrong
+    length is not cut or ignored, a negative exponent is not x^0, and a
+    head of -1 does not pick the last generator."""
+    A = strictly_upper_3x3()  # generators e12, e13, e23
+    D = inner_derivation(A, A.basis_element(0))
+    gens = [A.basis_element(i) for i in range(A.rank)]
+    with pytest.raises(ValueError, match=message):
+        product(A, D, gens, head, idx, exps)
+
+
+def test_monomial_refuses_negative_degree():
+    A = strictly_upper_3x3()
+    with pytest.raises(ValueError, match="natural number"):
+        DiffPoly.monomial(A, A.basis_element(0), -1)
+    assert DiffPoly.monomial(A, A.basis_element(0), 0) == DiffPoly.constant(A, A.basis_element(0))
+
+
+@pytest.mark.parametrize("cases", [_qq_evaluation_cases, _zz_evaluation_cases,
+                                   _gf_evaluation_cases], ids=["QQ", "ZZ", "GF"])
+def test_direct_product_matches_monomial_ore_product(cases, rng):
+    """The numerator direct product equals ore_product over the monomial
+    factors, with random elements and the zero element among the
+    generators and exponents up to 3."""
+    for A, D in cases(rng):
+        gens = [A.basis_element(i) for i in range(A.rank)]
+        gens += [random_element(A, rng) for _ in range(3)] + [A.zero()]
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            head = rng.randrange(len(gens))
+            idx = [rng.randrange(len(gens)) for _ in range(n)]
+            exps = [rng.randint(0, 3) for _ in range(n + 1)]
+            want = _monomial_product(A, D, gens, head, idx, exps)
+            assert direct_product(A, D, gens, head, idx, exps) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_direct_product_vanishing_mod_p_part_way(p):
+    """t^(p-1) x^p t vanishes in GF(p)[t]/(t^p) with d/dt: t^(p-1) t = 0
+    and the middle terms C(p, j) t^(p-1) delta^j(t) are multiples of p, the
+    one with j = 1 nonzero before the reduction. The factors after it keep
+    the product zero."""
+    A, D = charp_truncated(p)
+    gens = [A.basis_element(i) for i in range(p)]
+    t, top = 1, p - 1
+    assert any(A._mul_num(*D._chain(A.ring, gens[top], 0)[0], *D._chain(A.ring, gens[t], 1)[1])[0])
+    assert _monomial_product(A, D, gens, top, [t], (p, 0)).is_zero
+    for idx, exps in (([t, 0], (p, 0, 1)), ([t, 0, t], (p, 1, 0, 2))):
+        want = _monomial_product(A, D, gens, top, idx, exps)
+        assert want.is_zero and direct_product(A, D, gens, top, idx, exps) == want
+    # the same factors after a nonzero head
+    want = _monomial_product(A, D, gens, 0, [t, 0], (p, 0, 1))
+    assert not want.is_zero and direct_product(A, D, gens, 0, [t, 0], (p, 0, 1)) == want
+
+
+def test_one_delta_chain_per_generator_per_rewrite_case(rng, monkeypatch):
+    """On a fresh derivation, rewriting, evaluating and the direct product
+    of one case compute one delta-chain per distinct generator, repeating
+    the case computes none, and the direct product makes one ring element
+    per nonzero output coefficient."""
+    A = random_conjugate(upper_2x2(), rng)
+    D = Derivation(random_derivation(A, rng).matrix)
+    gens = [A.basis_element(i) for i in range(A.rank)] + [random_element(A, rng)]
+    head, idx, exps, k = 0, [1, 3, 1], (1, 2, 0, 1), 2
+    chains = []
+    iterates_num = Derivation._iterates_num
+    monkeypatch.setattr(Derivation, "_iterates_num",
+                        lambda self, *args: chains.append(args) or iterates_num(self, *args))
+    conversions = []
+    from_numerators = orepoly._from_numerators
+    monkeypatch.setattr(orepoly, "_from_numerators",
+                        lambda *args: conversions.append(args) or from_numerators(*args))
+    for repeat in range(2):
+        terms = rewrite_product(A, D, gens, head, idx, exps, k)
+        lhs = evaluate_terms(A, D, gens, terms)
+        conversions.clear()
+        rhs = direct_product(A, D, gens, head, idx, exps)
+        assert lhs == rhs
+        assert len(chains) == len({head, *idx})
+        assert len(conversions) == sum(1 for c in rhs.coeffs if any(c)) <= len(rhs.coeffs)
+
+
+def test_ore_multiply_and_power_dims_leave_the_chain_memo_empty(rng):
+    """Transient coefficients stay out of the memo: ore_multiply and the
+    nilpotency pipeline compute their chains unmemoised."""
+    A = random_conjugate(strictly_upper_3x3(), rng)
+    D = Derivation(random_derivation(A, rng).matrix)
+    S = [DiffPoly(A, [random_element(A, rng), random_element(A, rng)]) for _ in range(2)]
+    ore_multiply(A, D, S[0], S[1])
+    minimal_nilpotency(A, D, S, 4)
+    assert not D._chains
 
 
 # --- spans of polynomial sets -------------------------------------------------
