@@ -19,16 +19,32 @@ from .rings import CoeffRing, _numerators, _reduce
 LEIBNIZ_CAP = 8
 
 
+class NilIdeal(Subspace):
+    """A subspace that `is_nil_ideal` verified as a two-sided nil ideal of
+    `algebra`, of index `nilpotency_index`; only `is_nil_ideal` builds one."""
+
+    __slots__ = ("algebra", "nilpotency_index")
+
+    def __init__(self, V: Subspace, algebra: Algebra, index: int):
+        super().__init__(V.ring, V.ambient, V.rows, V.pivots)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "nilpotency_index", index)
+
+
 @dataclass(frozen=True)
 class NilIdealCertificate:
+    """`is_nil_ideal`'s verdict, index m with V^m = 0, first closure failure
+    (side, basis index, product) and verified `NilIdeal`; None where unset."""
+
     is_nil_ideal: bool
     nilpotency_index: int | None
-    closure_failure: tuple | None  # (side, basis index, vector) when not an ideal
+    closure_failure: tuple | None
+    ideal: NilIdeal | None
 
 
 @dataclass(frozen=True)
 class RadicalReport:
-    radical: Subspace
+    radical: NilIdeal
     method: str  # "trace_form", the one method that computes a radical
     certificate: NilIdealCertificate
 
@@ -61,14 +77,13 @@ def radical_char0(A: Algebra) -> RadicalReport:
         for j, consts in row:
             gram[i][j] = sum(c * traces[k] for k, c in consts)
     basis = nullspace(gram, A.ring)
-    rad = Subspace.span(A.ring, A.rank, basis)
-    ok, cert = is_nil_ideal(A, rad)
+    ok, cert = is_nil_ideal(A, Subspace.span(A.ring, A.rank, basis))
     if not ok:
         raise VerificationFailed(
             "trace-form kernel failed the nil-ideal re-check; "
             f"certificate: {cert}"
         )
-    return RadicalReport(rad, "trace_form", cert)
+    return RadicalReport(cert.ideal, "trace_form", cert)
 
 
 def _basis_multiples(A: Algebra, rows):
@@ -89,20 +104,26 @@ def _basis_multiples(A: Algebra, rows):
 def is_nil_ideal(A: Algebra, V: Subspace) -> tuple[bool, NilIdealCertificate]:
     """Two-sided ideal with a finite nilpotency index (nil and nilpotent
     coincide at finite rank). Closure multiplies e_i by V's stored rows;
-    a failure reports the product with the matching basis vector."""
+    a failure reports the product with the matching basis vector. A
+    `NilIdeal` of A itself is taken without walking its powers again; any
+    other subspace is verified and, when it passes, returned as one."""
     _check_operands(A, subspace=V)
+    if isinstance(V, NilIdeal) and V.algebra is A:
+        return True, NilIdealCertificate(True, V.nilpotency_index, None, V)
     for side, i, t, w in _basis_multiples(A, V.rows):
         if not V.contains(w):
             e, v = A.basis_element(i), V.basis[t]
             w = A.mul(e, v) if side == "left" else A.mul(v, e)
-            return False, NilIdealCertificate(False, None, (side, i, w))
+            return False, NilIdealCertificate(False, None, (side, i, w), None)
     idx = nilpotency_index(A, V)
-    return idx is not None, NilIdealCertificate(idx is not None, idx, None)
+    ideal = None if idx is None else NilIdeal(V, A, idx)
+    return idx is not None, NilIdealCertificate(idx is not None, idx, None, ideal)
 
 
 def check_delta_stability(A: Algebra, delta: Derivation, N: Subspace) -> StabilityResult:
-    """Whether the derivation maps the verified nil ideal N into itself;
-    delta runs on N's stored rows, unit multiples of its basis vectors."""
+    """Whether the derivation maps the nil ideal N into itself; delta runs
+    on N's stored rows, unit multiples of its basis vectors. N is verified
+    by `is_nil_ideal` first, so a `NilIdeal` of A is not walked again."""
     _check_operands(A, delta, subspace=N)
     if not is_nil_ideal(A, N)[0]:
         raise PreconditionViolated("stability check requires a verified nil ideal")
@@ -198,7 +219,8 @@ def _chain_product(A: Algebra, chain, comp):
 def verify_nilpotent_image(A: Algebra, delta: Derivation, b, n: int, N: Subspace) -> NilpotentImageReport:
     """Check the pieces of the argument that delta(b)^n falls in N.
 
-    Preconditions (checked): b^n = 0 and N is a nil ideal. The report
+    Preconditions (checked): b^n = 0 and N is a nil ideal, verified by
+    `is_nil_ideal`, so a `NilIdeal` of A is not walked again. The report
     records whether delta^n(b^n) vanishes (it is delta^n of zero), whether
     every composition term with a zero entry lies in the ideal of b and
     that ideal inside N, and whether c_{1..1} * delta(b)^n lies in N. All of

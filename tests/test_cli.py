@@ -357,6 +357,16 @@ def test_examples_charp(tmp_path):
     assert doc["rank"] == 5
 
 
+def test_examples_charp_failed_verification_is_a_precondition_error(tmp_path, monkeypatch, capsys):
+    from orelab import cli, radical
+
+    monkeypatch.setattr(radical, "nilpotency_index", lambda A, S: None)
+    assert cli.main(["examples", "charp", "--p", "3", "--dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: stability check requires a verified nil ideal\n"
+
+
 def test_examples_upper3strict(tmp_path):
     res = run_cli("examples", "upper3strict", "--dir", str(tmp_path))
     assert res.returncode == 0

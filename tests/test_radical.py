@@ -1,13 +1,20 @@
 """Radical computation, nil-ideal verification, derivation stability, and
 the iterated-Leibniz table."""
 
+import json
 import math
 
 import pytest
 
-from conftest import random_conjugate, random_derivation, random_element, truncated_ideal
+from conftest import (
+    UPPER2X2,
+    random_conjugate,
+    random_derivation,
+    random_element,
+    truncated_ideal,
+)
 
-from orelab.algebra import Algebra, inner_derivation, unitalize, verify_leibniz
+from orelab.algebra import Algebra, inner_derivation, nilpotency_index, unitalize, verify_leibniz
 from orelab.catalog import (
     charp_truncated,
     full_matrix,
@@ -22,6 +29,7 @@ from orelab.catalog import (
 from orelab.errors import PreconditionViolated
 from orelab.linalg import Subspace
 from orelab.radical import (
+    NilIdeal,
     check_delta_stability,
     is_nil_ideal,
     leibniz_coefficients,
@@ -127,6 +135,86 @@ def test_is_nil_ideal_catches_non_ideal():
     ok, cert = is_nil_ideal(A, A.span([A.basis_element(0)]))
     assert not ok
     assert cert.closure_failure is not None
+    assert cert.ideal is None
+
+
+def test_nil_ideal_is_the_verified_subspace():
+    A = truncated_polynomial(QQ, 3)
+    V = A.span([A.basis_element(1), A.basis_element(2)])
+    ok, cert = is_nil_ideal(A, V)
+    N = cert.ideal
+    assert ok and isinstance(N, NilIdeal)
+    assert N.algebra is A and N.nilpotency_index == cert.nilpotency_index == 3
+    assert N == V and hash(N) == hash(V) and N.basis == V.basis
+    assert N == A.span(N.basis) and hash(N) == hash(A.span(N.basis))
+    for name, value in (("nilpotency_index", 2), ("algebra", None), ("rows", ())):
+        with pytest.raises(AttributeError):
+            setattr(N, name, value)
+    assert (N.nilpotency_index, N.algebra, N.rows) == (3, A, V.rows)
+    # the certificate of a NilIdeal of A is the one it was verified with
+    assert is_nil_ideal(A, N) == (True, cert)
+    assert radical_char0(A).radical == N
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The algebras whose subspace powers `is_nil_ideal` walks, in order."""
+    import orelab.radical as radical
+
+    seen = []
+
+    def counted(A, S):
+        seen.append(A)
+        return nilpotency_index(A, S)
+
+    monkeypatch.setattr(radical, "nilpotency_index", counted)
+    return seen
+
+
+def test_nil_ideal_of_another_algebra_is_verified_again(walks):
+    A = truncated_polynomial(QQ, 3)
+    N = radical_char0(A).radical
+    walks.clear()
+    # an equal algebra that is another object: walked again, then trusted
+    B = truncated_polynomial(QQ, 3)
+    ok, cert = is_nil_ideal(B, N)
+    assert ok and walks == [B]
+    assert cert.ideal.algebra is B and cert.ideal == N
+    assert check_delta_stability(B, zero_derivation(B), cert.ideal).stable
+    assert walks == [B]
+    # same rank and ring, but span(e12, e22) of upper 2x2 holds the idempotent e22
+    C = upper_2x2()
+    assert (C.rank, C.ring) == (A.rank, A.ring)
+    ok, cert = is_nil_ideal(C, N)
+    assert not ok and cert.ideal is None
+    with pytest.raises(PreconditionViolated):
+        check_delta_stability(C, zero_derivation(C), N)
+    with pytest.raises(PreconditionViolated):
+        verify_nilpotent_image(C, zero_derivation(C), C.basis_element(1), 2, N)
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ("examples", "charp", "--p", "5", "--dir", "DIR"),
+    ("radical-check", "FILE", "--derivation", "inner_e11"),
+    ("radical-check", "FILE", "--derivation", "inner_e11", "--candidate", "e12"),
+])
+def test_one_walk_per_nil_ideal(argv, tmp_path, walks, capsys):
+    """The verification hands on a NilIdeal, and the stability check takes
+    it without walking its powers again."""
+    from orelab import cli
+
+    if argv is None:
+        A = upper_2x2()
+        D = inner_derivation(A, A.basis_element(0))
+        assert check_delta_stability(A, D, radical_char0(A).radical).stable
+    else:
+        path = tmp_path / "upper2x2.json"
+        path.write_text(json.dumps(UPPER2X2))
+        names = {"DIR": str(tmp_path), "FILE": str(path)}
+        assert cli.main([names.get(a, a) for a in argv]) == 0
+        assert "stable = " in capsys.readouterr().out
+    assert len(walks) == 1
 
 
 # --- stability -----------------------------------------------------------
