@@ -15,20 +15,51 @@ CMP_GREATER = 1
 CMP_INCOMPARABLE = 2
 
 # Words of at least this many letters are long: b_bounded scans them by
-# the byte path, and the word layer memoises their weight and boundedness
-# on the Word. The shorter words the oracle and the Ore layer check are
-# mostly asked once, so a memo entry would only add to their cost.
+# the byte path, and the word layer memoises on the Word their weight,
+# their boundedness code per bound sequence and, when they hold at most 256
+# distinct letters, one rank code (`rank_code`) that the weight and the
+# byte path share. A shorter word keeps only the code of its last
+# boundedness ask: the oracle's and the Ore layer's words are mostly asked
+# once, so any more memo would only add to their cost.
 LONG_WORD = 64
 
 
-def weight(letters) -> int:
+def rank_code(letters):
+    """The rank code of a word: (vals, enc) with vals the sorted distinct
+    letters and enc one byte per letter, its rank in vals; None when the
+    word holds more than 256 distinct letters."""
+    vals = sorted(set(letters))
+    if len(vals) > 256:
+        return None
+    return vals, _encode(letters, vals, len(vals))
+
+
+def _encode(letters, vals, t: int) -> bytes:
+    """One byte per letter: i for vals[i] with i < t, t for the rest."""
+    code = dict(zip(vals, range(t)))
+    code.update(dict.fromkeys(vals[t:], t))
+    return bytes(map(code.__getitem__, letters))
+
+
+def weight(letters, ranks=None) -> int:
     """Minimum over all permutations of sum (n+1-i) * letter_{sigma(i)}.
 
     Closed form by the rearrangement inequality: sort ascending and pair
     with descending coefficients n, n-1, ..., 1, which is the sum of the
-    prefix sums of the sorted letters.
+    prefix sums of the sorted letters. Given the letters' `rank_code`, the
+    sort is read off its counts instead: a value v held c times from sorted
+    position s onward pairs with n - s, ..., n - s - c + 1, so it adds
+    v * (c * (n - s) - c * (c - 1) / 2).
     """
-    return sum(accumulate(sorted(letters)))
+    if ranks is None:
+        return sum(accumulate(sorted(letters)))
+    vals, enc = ranks
+    n = len(enc)
+    total = s = 0
+    for v, c in zip(vals, map(enc.count, range(len(vals)))):
+        total += v * (c * (n - s) - c * (c - 1) // 2)
+        s += c
+    return total
 
 
 def k_valid(letters, k: int) -> bool:
@@ -63,7 +94,7 @@ def compare_ranges(letters, alo: int, ahi: int, blo: int, bhi: int) -> int:
     return CMP_EQUAL if la == lb else CMP_INCOMPARABLE
 
 
-def b_bounded(letters, prefix, extend_tail: bool) -> int:
+def b_bounded(letters, prefix, extend_tail: bool, ranks=None) -> int:
     """Bounded-word check against b; 1 yes, 0 no, -1 undetermined entry.
 
     The word is bounded iff for every determined m, every window of
@@ -72,21 +103,25 @@ def b_bounded(letters, prefix, extend_tail: bool) -> int:
     b_m > n. Determination is required for every m up to the max letter.
 
     For m up to top = min(max letter, last prefix index) the runs are
-    measured by one of two paths, chosen from the input alone. A word of
-    at least 64 letters whose letters <= top take at most 255 distinct
-    values goes through the byte path (`_runs_short_bytes`): C-level
-    scans of one byte mask per distinct letter. Every other word goes
-    through the monotone-stack path (`_runs_short_stack`): one Python
-    pass over the letters, cheaper on short words and the only one that
-    serves wide alphabets. Both give the same answer on every input.
+    measured by one of two paths, chosen from the input alone. A word
+    given with its `rank_code`, or of at least 64 letters whose letters
+    <= top take at most 255 distinct values, goes through the byte path
+    (`_runs_short_bytes`): C-level scans of one byte mask per distinct
+    letter. Every other word goes through the monotone-stack path
+    (`_runs_short_stack`): one Python pass over the letters, cheaper on
+    short words and the only one that serves wide alphabets. Both give the
+    same answer on every input.
     """
     n = len(letters)
-    mx = max(letters)
+    mx = max(letters) if ranks is None else ranks[0][-1]
     L = len(prefix)
     if not extend_tail and L <= mx:
         return -1
     top = mx if mx < L - 1 else L - 1
-    short = _runs_short_bytes(letters, prefix, top) if n >= LONG_WORD else None
+    if ranks is not None or n >= LONG_WORD:
+        short = _runs_short_bytes(letters, prefix, top, ranks)
+    else:
+        short = None
     if short is None:
         short = _runs_short_stack(letters, prefix, top)
     if not short:
@@ -136,28 +171,31 @@ def _runs_short_stack(letters, prefix, top: int) -> bool:
 _WALL = b"\x01"
 
 
-def _runs_short_bytes(letters, prefix, top: int) -> bool | None:
-    """As `_runs_short_stack`, or None when the letters <= top take more
-    than 255 distinct values.
+def _runs_short_bytes(letters, prefix, top: int, ranks=None) -> bool | None:
+    """As `_runs_short_stack`, or None when no rank code is given and the
+    letters <= top take more than 255 distinct values.
 
     The longest run of letters <= m is the same for every m from one
     distinct letter v up to the next, so v need only be checked against
-    B(v), the least b_m over that range. The word is rank-encoded into
-    bytes once (code i for the i-th distinct letter <= top, one wall code
-    for the rest); for each v a translate gives a mask, 0 at letters <= v
-    and 1 elsewhere, which must hold no B(v) zeros in a row. Runs only
-    grow with v, so v is skipped when a higher letter's bound is no
-    larger (or when B(v) > n). A mask with few walls is split at them and
-    its longest piece measured; a dense one is searched for B(v) zeros.
+    B(v), the least b_m over that range. The word is read as bytes: the
+    given rank code, or else one built here (code i for the i-th distinct
+    letter <= top, one wall code for the rest). For each v a translate
+    gives a mask, 0 at letters <= v and 1 elsewhere, which must hold no
+    B(v) zeros in a row. Runs only grow with v, so v is skipped when a
+    higher letter's bound is no larger (or when B(v) > n). A mask with few
+    walls is split at them and its longest piece measured; a dense one is
+    searched for B(v) zeros.
     """
     n = len(letters)
-    vals = sorted(set(letters))
-    t = bisect_right(vals, top)
-    if t > 255:
-        return None
-    code = dict(zip(vals, range(t)))
-    code.update(dict.fromkeys(vals[t:], t))
-    enc = bytes(map(code.__getitem__, letters))
+    if ranks is None:
+        vals = sorted(set(letters))
+        t = bisect_right(vals, top)
+        if t > 255:
+            return None
+        enc = _encode(letters, vals, t)
+    else:
+        vals, enc = ranks
+        t = bisect_right(vals, top)
     hi = top + 1
     low = n + 1  # least B over the letters above v; no run exceeds n
     for i in range(t - 1, -1, -1):

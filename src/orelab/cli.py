@@ -59,11 +59,17 @@ class CliInputError(Exception):
     pass
 
 
+def _is_digits(text: str) -> bool:
+    """Nonempty and ASCII 0-9 only; str.isdigit also takes other scripts'
+    digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_word(text: str) -> Word:
     parts = [p.strip() for p in text.split(",")]
     letters = []
     for i, p in enumerate(parts):
-        if not p.isdigit():
+        if not _is_digits(p):
             raise CliInputError(
                 f"cannot parse word: item {i + 1} ({p!r}) is not a natural number"
             )
@@ -77,7 +83,7 @@ def _parse_bounds(text: str, tail: bool) -> BoundSequence:
     parts = [p.strip() for p in text.split(",")]
     vals = []
     for i, p in enumerate(parts):
-        if not p.isdigit() or int(p) < 1:
+        if not _is_digits(p) or int(p) < 1:
             raise CliInputError(
                 f"cannot parse bound prefix: item {i + 1} ({p!r}) is not a positive integer"
             )
@@ -103,7 +109,7 @@ def _parse_eps(text: str) -> Fraction:
 def _parse_int_list(text: str, what: str) -> list[int]:
     out = []
     for i, p in enumerate(t.strip() for t in text.split(",")):
-        if not (p.isdigit() or (p.startswith("-") and p[1:].isdigit())):
+        if not _is_digits(p.removeprefix("-")):
             raise CliInputError(f"cannot parse {what}: item {i + 1} ({p!r})")
         out.append(int(p))
     return out
@@ -113,7 +119,7 @@ def _basis_index(A: Algebra, name: str) -> int:
     name = name.strip()
     if name in A.basis_names:
         return A.basis_names.index(name)
-    if name.isdigit() and int(name) < A.rank:
+    if _is_digits(name) and int(name) < A.rank:
         return int(name)
     raise CliInputError(f"unknown basis element {name!r}")
 
@@ -150,7 +156,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
         for part in (p.strip() for p in term.split("*")):
             if not part:
                 raise CliInputError(f"empty factor in term {term!r}")
-            if part == "x" or (part.startswith("x^") and part[2:].isdigit()):
+            if part == "x" or (part.startswith("x^") and _is_digits(part[2:])):
                 xpow += 1 if part == "x" else int(part[2:])
             elif part[0].isdigit() or part[0] == "-":
                 try:

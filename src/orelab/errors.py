@@ -17,10 +17,6 @@ class InsufficientBoundData(OrelabError):
         )
 
 
-class FactorialCapExceeded(OrelabError):
-    """Brute-force permutation enumeration refused beyond the configured cap."""
-
-
 class BudgetExceeded(OrelabError):
     """An exhaustive search would exceed the configured budget."""
 

@@ -219,7 +219,7 @@ def random_valid_word(n: int, k: int, rng: Random) -> Word:
                 letters[positions[start + j]] += 1
     if rng.random() < 0.5:
         letters.reverse()
-    u = Word(letters)
+    u = Word._from_letters(letters)
     if bulk:
         if weight(u) > budget:
             raise ConstructionFailed(f"bulk increments overran the budget {budget}")

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain
 from math import isqrt, lcm
 from operator import index
 
@@ -23,12 +23,10 @@ from . import _kernels as kernels
 from .errors import (
     BudgetExceeded,
     ConstructionFailed,
-    FactorialCapExceeded,
     InsufficientBoundData,
     PreconditionViolated,
 )
 
-DEFAULT_FACTORIAL_CAP = 8
 DEFAULT_ORACLE_BUDGET = 4_000_000
 
 
@@ -55,18 +53,26 @@ class Word:
     raises TypeError rather than being truncated or parsed.
 
     A long Word (at least `_kernels.LONG_WORD` letters) memoises what the
-    word layer asks of its letters: the weight, and the
-    `_kernels.b_bounded` code per BoundSequence (equal sequences share one
-    entry). Both are filled on first use; they are class-level None until
+    word layer asks of its letters: the weight, the `_kernels.b_bounded`
+    code per BoundSequence (equal sequences share one entry) and, when it
+    holds at most 256 distinct letters, its `_kernels.rank_code`, which
+    both of those kernels read. A short word keeps only the code of its
+    last boundedness ask, so a second ask on the same sequence is a lookup;
+    it is weighed afresh every time, as most short words are asked once.
+    All of these are filled on first use; they are class-level None until
     then and are not dataclass fields, so equality, hash and repr see the
-    letters only. A short word is scanned afresh on every ask: most are
-    asked once, and a memo entry would only add to their cost.
+    letters only.
+
+    `Word._from_letters` builds a Word without the checks, for letters
+    that are natural-number ints by construction.
     """
 
     letters: tuple[int, ...]
 
     _weight = None
-    _bounded = None
+    _bounded = None  # long word: {BoundSequence: code}
+    _ranks = None  # long word: rank code, or False past 256 distinct letters
+    _last_bounded = None  # short word: (BoundSequence, code) of the last ask
 
     def __init__(self, letters):
         letters = tuple(map(index, letters))
@@ -75,6 +81,13 @@ class Word:
         if min(letters) < 0:
             raise ValueError("letters are natural numbers")
         object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _from_letters(cls, letters) -> Word:
+        """A Word of a nonempty sequence of natural-number ints, unchecked."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "letters", tuple(letters))
+        return u
 
     def __len__(self):
         return len(self.letters)
@@ -253,28 +266,20 @@ def weight(u) -> int:
     w = u._weight
     if w is None:
         letters = u.letters
-        w = kernels.weight(letters)
-        if len(letters) >= kernels.LONG_WORD:
-            object.__setattr__(u, "_weight", w)
+        if len(letters) < kernels.LONG_WORD:
+            return kernels.weight(letters)
+        w = kernels.weight(letters, _ranks(u))
+        object.__setattr__(u, "_weight", w)
     return w
 
 
-def weight_bruteforce(u) -> int:
-    """Reference oracle: exact minimum over all n! permutations, refused
-    beyond DEFAULT_FACTORIAL_CAP letters."""
-    u = as_word(u)
-    n = len(u)
-    cap = DEFAULT_FACTORIAL_CAP
-    if n > cap:
-        raise FactorialCapExceeded(
-            f"word length {n} exceeds the factorial cap {cap}"
-        )
-    best = None
-    for perm in permutations(u.letters):
-        total = sum((n - i) * a for i, a in enumerate(perm))
-        if best is None or total < best:
-            best = total
-    return best
+def _ranks(u: Word):
+    """The long word's memoised rank code; None past 256 distinct letters."""
+    ranks = u._ranks
+    if ranks is None:
+        ranks = kernels.rank_code(u.letters) or False
+        object.__setattr__(u, "_ranks", ranks)
+    return ranks or None
 
 
 def is_k_valid(u, k: int) -> bool:
@@ -293,7 +298,12 @@ def is_b_bounded(u, b: BoundSequence) -> bool:
     u = as_word(u)
     letters = u.letters
     if len(letters) < kernels.LONG_WORD:
-        code = kernels.b_bounded(letters, b.prefix, b.extend_tail)
+        last = u._last_bounded
+        if last is not None and (last[0] is b or last[0] == b):
+            code = last[1]
+        else:
+            code = kernels.b_bounded(letters, b.prefix, b.extend_tail)
+            object.__setattr__(u, "_last_bounded", (b, code))
     else:
         memo = u._bounded
         if memo is None:
@@ -301,7 +311,9 @@ def is_b_bounded(u, b: BoundSequence) -> bool:
             object.__setattr__(u, "_bounded", memo)
         code = memo.get(b)
         if code is None:
-            code = memo[b] = kernels.b_bounded(letters, b.prefix, b.extend_tail)
+            code = memo[b] = kernels.b_bounded(
+                letters, b.prefix, b.extend_tail, _ranks(u)
+            )
     if code == -1:
         raise InsufficientBoundData(max(u.letters), len(b.prefix))
     return bool(code)

@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_conjugate, random_derivation, random_element, run_orelab
+from reference import weight_bruteforce
 
 from orelab.algebra import b_sequence, inner_derivation, verify_leibniz
 from orelab.catalog import (
@@ -50,7 +51,6 @@ from orelab.words import (
     minimal_N_oracle,
     decreasing_witness,
     weight,
-    weight_bruteforce,
 )
 
 

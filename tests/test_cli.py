@@ -51,6 +51,46 @@ def test_words_analyze_parse_error_position():
     assert "item 2" in res.stderr
 
 
+@pytest.mark.parametrize("word, bad", [("1,\u00b2,3", "\u00b2"), ("1,\u0663,3", "\u0663")])
+def test_words_analyze_refuses_non_ascii_digits(word, bad):
+    # str.isdigit takes a superscript two, which int() then fails on, and an
+    # Arabic-Indic three, which int() reads as 3
+    res = run_cli("words-analyze", word)
+    assert res.returncode == 2
+    assert f"cannot parse word: item 2 ({bad!r}) is not a natural number" in res.stderr
+    assert res.stdout == "" and "invalid literal" not in res.stderr
+
+
+@pytest.mark.parametrize("args, message, ascii_code", [
+    (("words-bounds", "--d", "1", "--k", "1", "--b", "2,\u0663"),
+     "cannot parse bound prefix: item 2 ('\u0663')", 0),
+    (("ore-rewrite", "FILE", "--head", "e12", "--indices", "e23",
+      "--exponents", "0,\u00b9", "--k", "1"), "cannot parse exponents: item 2 ('\u00b9')", 0),
+    # -3 parses, and is then refused as out of range
+    (("ore-rewrite", "FILE", "--head", "e12", "--indices", "e23",
+      "--exponents", "0,-\u0663", "--k", "1"), "cannot parse exponents: item 2 ('-\u0663')", 2),
+    (("ore-rewrite", "FILE", "--head", "\u0661", "--indices", "e23",
+      "--exponents", "0,1", "--k", "1"), "unknown basis element '\u0661'", 0),
+    (("ore-nilpotency", "FILE", "--set", "x^\u0663*e12"), "unknown basis element 'x^\u0663'", 0),
+    (("ore-nilpotency", "FILE", "--set", "x^\u00b2*e12"), "unknown basis element 'x^\u00b2'", 0),
+])
+def test_integer_fields_take_ascii_digits_only(args, message, ascii_code, tmp_path, capsys):
+    from orelab import cli
+
+    path = tmp_path / "upper3strict.json"
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = [str(path) if a == "FILE" else a for a in args]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    # the same fields still take ASCII digits
+    ascii_argv = [a.replace("\u0663", "3").replace("\u00b9", "1").replace("\u00b2", "2")
+                  .replace("\u0661", "1") for a in argv]
+    assert cli.main(ascii_argv) == ascii_code
+    assert message not in capsys.readouterr().err
+
+
 def test_words_analyze_json():
     res = run_cli("words-analyze", "2,1", "--k", "1", "--json")
     assert res.returncode == 0

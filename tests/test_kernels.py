@@ -1,7 +1,10 @@
 """Word kernels against their definitions on randomized inputs."""
 
 import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 import orelab
 from orelab import _kernels
 from orelab.wordgen import arithmetic_bounds, random_valid_word
-from orelab.words import compute_bounds
+from orelab.words import Word, compute_bounds, weight
+from reference import DEFAULT_FACTORIAL_CAP, weight_bruteforce
 
 letters_strategy = st.lists(st.integers(0, 40), min_size=1, max_size=60).map(tuple)
 
@@ -123,3 +127,100 @@ def test_grid_words_accepted_and_lowered_walls_rejected(n, k):
         expected = _arith_bounded(lowered)
         assert p == j or not expected
         assert _kernels.b_bounded(lowered, prefix, True) == expected
+
+
+# --- the rank code --------------------------------------------------------
+
+def _random_words(rng, count, max_len):
+    """Words of 1 to max_len letters over alphabets from {0} to 256 wide,
+    some shifted past 2^64."""
+    for _ in range(count):
+        n = rng.randint(1, max_len)
+        width = rng.choice((1, 2, 5, 40, 256))
+        shift = rng.choice((0, 0, 7, 1 << 64))
+        yield tuple(shift + rng.randrange(width) for _ in range(n))
+
+
+def test_rank_code_weight_matches_the_sort_and_the_bruteforce():
+    rng = random.Random(22)
+    for letters in _random_words(rng, 300, 700):
+        code = _kernels.rank_code(letters)
+        vals, enc = code
+        assert vals == sorted(set(letters)) and len(enc) == len(letters)
+        assert [vals[r] for r in enc] == list(letters)
+        w = _kernels.weight(letters, code)
+        assert w == sum(accumulate(sorted(letters))) == _kernels.weight(letters)
+        if len(letters) <= DEFAULT_FACTORIAL_CAP:
+            assert w == weight_bruteforce(letters)
+
+
+def test_rank_code_holds_256_distinct_letters_and_no_more():
+    rng = random.Random(256)
+    for distinct in (256, 257):
+        letters = list(range(0, 3 * distinct, 3)) * 2 + [3, 3, 0]
+        rng.shuffle(letters)
+        letters = tuple(letters)
+        code = _kernels.rank_code(letters)
+        if distinct == 256:
+            assert max(code[1]) == 255
+        else:
+            assert code is None
+        expected = sum(accumulate(sorted(letters)))
+        assert _kernels.weight(letters, code) == expected
+        # the word layer memoises the code and takes the sort past 256
+        u = Word(letters)
+        assert weight(u) == expected
+        assert (u._ranks is False) == (distinct == 257)
+
+
+def _prefixes(letters, code, rng):
+    """A random prefix, the tightest bounded one (each b_m one above the
+    longest run of letters <= m, the tail above n) and that one with one
+    entry lowered onto its run. Their lengths run from 1 to two past the
+    top letter (at most 302), so most leave letters above the prefix:
+    walls with the tail, the -1 code without it."""
+    vals, enc = code
+    n = len(letters)
+    L = rng.randint(1, min(vals[-1], 300) + 2)
+    yield tuple(rng.randint(1, n + 2) for _ in range(L))
+    tight = []
+    for m in range(L):
+        i = bisect_right(vals, m)  # the letters <= m have the ranks below i
+        mask = enc.translate(bytes(i) + b"\x01" * (256 - i))
+        tight.append(max(map(len, mask.split(b"\x01"))) + 1)
+    tight[-1] = n + 1
+    yield tuple(tight)
+    m = rng.randrange(L)
+    tight[m] = max(1, tight[m] - 1)
+    yield tuple(tight)
+
+
+def test_b_bounded_with_a_code_matches_the_stack_path(monkeypatch):
+    monkeypatch.setattr(_kernels, "LONG_WORD", float("inf"))  # no code: the stack path
+    rng = random.Random(7)
+    verdicts = Counter()
+    for letters in _random_words(rng, 300, 300):
+        code = _kernels.rank_code(letters)
+        for prefix in _prefixes(letters, code, rng):
+            for tail in (True, False):
+                got = _kernels.b_bounded(letters, prefix, tail, code)
+                assert got == _kernels.b_bounded(letters, prefix, tail), (letters, prefix, tail)
+                verdicts[got] += 1
+    assert min(verdicts[v] for v in (-1, 0, 1)) > 100
+
+
+def test_b_bounded_code_serves_256_letters_below_top(monkeypatch):
+    monkeypatch.setattr(_kernels, "LONG_WORD", float("inf"))  # no code: the stack path
+    # 256 distinct letters, all below the last prefix index: without a code
+    # the byte path refuses them and the stack path decides
+    letters = tuple(range(255, -1, -1)) + tuple(range(256))
+    assert _kernels._runs_short_bytes(letters, (1,) * 300, 255) is None
+    code = _kernels.rank_code(letters)
+    # the run of letters <= m is 2m + 2 long around the central zeros
+    tight = tuple(2 * m + 3 for m in range(256)) + (513,) * 44
+    for prefix in (tight, tight[:100] + (201,) + tight[101:], (513,) * 300):
+        for tail in (True, False):
+            got = _kernels.b_bounded(letters, prefix, tail, code)
+            assert got == _kernels.b_bounded(letters, prefix, tail)
+    assert _kernels.b_bounded(letters, tight, True, code) == 1
+    assert _kernels.b_bounded(letters, tight[:100] + (201,) + tight[101:], True, code) == 0

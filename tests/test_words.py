@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orelab import _kernels
-from orelab.errors import (
-    FactorialCapExceeded,
-    InsufficientBoundData,
-    PreconditionViolated,
-)
+from orelab.errors import InsufficientBoundData, PreconditionViolated
 from orelab.wordgen import _base_word, arithmetic_bounds, random_valid_word
 from orelab.words import (
     BoundSequence,
@@ -36,8 +32,8 @@ from orelab.words import (
     minimal_N_oracle,
     decreasing_witness,
     weight,
-    weight_bruteforce,
 )
+from reference import FactorialCapExceeded, weight_bruteforce
 
 words = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(tuple)
 
@@ -573,6 +569,70 @@ def test_witness_path_scans_the_word_once(monkeypatch):
     assert is_b_bounded(u, b)
     assert decreasing_witness(u, d, b, k, eps, bounds=bounds).block_count == d
     assert calls == {"weight": 1, "b_bounded": 1}
+
+
+def test_witness_path_builds_one_rank_code(monkeypatch):
+    """The long word's weight and its byte scan read one rank code."""
+    b = arithmetic_bounds(1172)
+    bounds = compute_bounds(2, b, 1, 1)
+    assert bounds.N == 1172
+    random_valid_word(bounds.N, 1, random.Random(0))  # builds the per-length layout
+    calls = _count_kernel_calls(monkeypatch, ("rank_code", "weight", "b_bounded"))
+    u = random_valid_word(bounds.N, 1, random.Random(1))
+    assert is_k_valid(u, 1) and is_b_bounded(u, b)
+    assert decreasing_witness(u, 2, b, 1, 1, bounds=bounds).block_count == 2
+    assert calls == {"rank_code": 1, "weight": 1, "b_bounded": 1}
+
+
+@pytest.mark.parametrize("k, eps, n", [(1, Fraction(1), 20), (2, Fraction(1, 2), 38)])
+def test_short_witness_path_scans_the_word_once(monkeypatch, k, eps, n):
+    """A d = 1 word is short; the witness's boundedness check on the
+    caller's b reads the word's one-slot memo."""
+    probe = compute_bounds(1, arithmetic_bounds(4096), k, eps)
+    b = arithmetic_bounds(max(probe.N, max(lev.M1 for lev in probe.trace) + 2))
+    bounds = compute_bounds(1, b, k, eps)
+    assert bounds.N == n < _kernels.LONG_WORD
+    random_valid_word(n, k, random.Random(0))  # builds the per-length layout
+    calls = _count_kernel_calls(monkeypatch, ("b_bounded",))
+    for seed in range(1, 6):
+        u = random_valid_word(n, k, random.Random(seed))
+        assert is_k_valid(u, k) and is_b_bounded(u, b)
+        assert decreasing_witness(u, 1, b, k, eps, bounds=bounds).block_count == 1
+    assert calls == {"b_bounded": 5}
+
+
+def test_short_word_slot_follows_alternating_bound_sequences(monkeypatch):
+    u = Word((0, 1, 0, 1) * 5)
+    loose, tight = BoundSequence((2, 21)), BoundSequence((2, 4))
+    blind = BoundSequence((2,), extend_tail=False)  # cannot judge the letter 1
+    calls = _count_kernel_calls(monkeypatch, ("b_bounded",))
+    for _ in range(3):
+        assert is_b_bounded(u, loose)
+        assert not is_b_bounded(u, tight)
+        with pytest.raises(InsufficientBoundData):
+            is_b_bounded(u, blind)
+    assert calls == {"b_bounded": 9}  # each ask replaced the slot
+    twin = BoundSequence(blind.prefix, extend_tail=False)
+    for _ in range(2):
+        with pytest.raises(InsufficientBoundData):
+            is_b_bounded(u, twin)
+    assert not is_b_bounded(u, tight) and not is_b_bounded(u, tight)
+    assert calls == {"b_bounded": 10}  # an equal sequence hits the slot
+
+
+def test_sampled_word_is_an_ordinary_word():
+    for n, k in ((20, 1), (38, 2), (200, 1), (1172, 1)):
+        u = random_valid_word(n, k, random.Random(n))
+        fresh = Word(u.letters)
+        assert type(u.letters) is tuple and {type(a) for a in u} == {int}
+        assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+        assert fresh in {u} and min(u) >= 0
+    # the unchecked constructor leaves Word's own checks in place
+    with pytest.raises(ValueError, match="letters are natural numbers"):
+        Word((2, -1))
+    for bad in ((1.5,), ("3",)):
+        with pytest.raises(TypeError):
+            Word(bad)
 
 
 def test_witness_rejects_bad_parameters():
