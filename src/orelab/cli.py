@@ -39,6 +39,7 @@ from .radical import (
     is_nil_ideal,
     radical_char0,
 )
+from .rings import is_digits, parse_int
 from .words import (
     BoundSequence,
     Word,
@@ -59,17 +60,19 @@ class CliInputError(Exception):
     pass
 
 
-def _is_digits(text: str) -> bool:
-    """Nonempty and ASCII 0-9 only; str.isdigit also takes other scripts'
-    digits and superscripts."""
-    return text.isascii() and text.isdigit()
+def _int_option(text: str) -> int:
+    """argparse type of the integer options: ASCII decimal only."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_word(text: str) -> Word:
     parts = [p.strip() for p in text.split(",")]
     letters = []
     for i, p in enumerate(parts):
-        if not _is_digits(p):
+        if not is_digits(p):
             raise CliInputError(
                 f"cannot parse word: item {i + 1} ({p!r}) is not a natural number"
             )
@@ -83,7 +86,7 @@ def _parse_bounds(text: str, tail: bool) -> BoundSequence:
     parts = [p.strip() for p in text.split(",")]
     vals = []
     for i, p in enumerate(parts):
-        if not _is_digits(p) or int(p) < 1:
+        if not is_digits(p) or int(p) < 1:
             raise CliInputError(
                 f"cannot parse bound prefix: item {i + 1} ({p!r}) is not a positive integer"
             )
@@ -96,9 +99,9 @@ def _parse_eps(text: str) -> Fraction:
     try:
         if "/" in t:
             num, den = t.split("/", 1)
-            val = Fraction(int(num), int(den))
+            val = Fraction(parse_int(num), parse_int(den))
         else:
-            val = Fraction(int(t))
+            val = Fraction(parse_int(t))
     except (ValueError, ZeroDivisionError):
         raise CliInputError(f"cannot parse rational {t!r} (use a/b or an integer)") from None
     if not (0 < val <= 1):
@@ -109,7 +112,7 @@ def _parse_eps(text: str) -> Fraction:
 def _parse_int_list(text: str, what: str) -> list[int]:
     out = []
     for i, p in enumerate(t.strip() for t in text.split(",")):
-        if not _is_digits(p.removeprefix("-")):
+        if not is_digits(p.removeprefix("-")):
             raise CliInputError(f"cannot parse {what}: item {i + 1} ({p!r})")
         out.append(int(p))
     return out
@@ -119,7 +122,7 @@ def _basis_index(A: Algebra, name: str) -> int:
     name = name.strip()
     if name in A.basis_names:
         return A.basis_names.index(name)
-    if _is_digits(name) and int(name) < A.rank:
+    if is_digits(name) and int(name) < A.rank:
         return int(name)
     raise CliInputError(f"unknown basis element {name!r}")
 
@@ -156,7 +159,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
         for part in (p.strip() for p in term.split("*")):
             if not part:
                 raise CliInputError(f"empty factor in term {term!r}")
-            if part == "x" or (part.startswith("x^") and _is_digits(part[2:])):
+            if part == "x" or (part.startswith("x^") and is_digits(part[2:])):
                 xpow += 1 if part == "x" else int(part[2:])
             elif part[0].isdigit() or part[0] == "-":
                 try:
@@ -545,22 +548,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("words-analyze", help="weight, validity, boundedness, factorization")
     p.add_argument("word", help="comma-separated natural numbers, e.g. 2,1")
-    p.add_argument("--k", type=int, default=None, help="validity threshold")
+    p.add_argument("--k", type=_int_option, default=None, help="validity threshold")
     p.add_argument("--b", default=None, help="bound sequence prefix, e.g. 2,3,4")
     p.add_argument("--no-tail", dest="tail", action="store_false",
                    help="disable the constant-tail extension of the b prefix")
-    p.add_argument("--decreasing", type=int, default=None, metavar="D",
+    p.add_argument("--decreasing", type=_int_option, default=None, metavar="D",
                    help="search for a D-decreasing factorization")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_words_analyze)
 
     p = sub.add_parser("words-bounds", help="constants of the decreasing-subword guarantee")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--eps", default="1", help="rational in (0,1], e.g. 1/2")
     p.add_argument("--b", required=True, help="bound sequence prefix")
     p.add_argument("--no-tail", dest="tail", action="store_false")
-    p.add_argument("--oracle", nargs=2, type=int, metavar=("MAX_N", "MAX_LETTER"),
+    p.add_argument("--oracle", nargs=2, type=_int_option, metavar=("MAX_N", "MAX_LETTER"),
                    default=None, help="run the exhaustive minimal-length oracle")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_words_bounds)
@@ -571,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", required=True, help="basis name of the head factor")
     p.add_argument("--indices", required=True, help="comma-separated basis names")
     p.add_argument("--exponents", required=True, help="p_1..p_{n+1}, comma-separated")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ore_rewrite)
 
@@ -579,10 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--set", required=True, help="polynomials, e.g. 'e12 + e23*x; e13*x^2'")
     p.add_argument("--derivation", default=None)
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=_int_option, default=16)
     p.add_argument("--bound", default=None, metavar="IDENTITY",
                    help="also compute the guaranteed bound via this identity")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int_option, default=1)
     p.add_argument("--T", default=None, help="generating set for the bound (basis names)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ore_nilpotency)
@@ -597,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="write a bundled algebra file and run its pipeline")
     p.add_argument("name", help="charp | upper3strict | squarezero")
-    p.add_argument("--p", type=int, default=3, help="prime for the charp example")
+    p.add_argument("--p", type=_int_option, default=3, help="prime for the charp example")
     p.add_argument("--dir", default=".", help="output directory for generated files")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_examples)

@@ -14,6 +14,24 @@ from math import gcd, lcm
 
 from .errors import MalformedInput
 
+_ASCII_SPACE = " \t\n\r\f\v"
+
+
+def is_digits(text: str) -> bool:
+    """Nonempty and ASCII 0-9 only; str.isdigit also takes other scripts'
+    digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_int(text: str) -> int:
+    """An ASCII decimal integer with an optional sign, between optional
+    ASCII whitespace; ValueError on anything else. int() alone also takes
+    other scripts' digits and underscores ('٣', '1_0')."""
+    s = text.strip(_ASCII_SPACE)
+    if not is_digits(s[1:] if s[:1] in ("+", "-") else s):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(s)
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -96,11 +114,11 @@ class CoeffRing:
         """Parse a decimal integer string or an 'a/b' rational string."""
         if not isinstance(text, str):
             raise MalformedInput(f"expected a string value, got {text!r}", field=field)
-        s = text.strip()
+        s = text.strip(_ASCII_SPACE)
         try:
             if "/" in s:
                 num_s, den_s = s.split("/", 1)
-                num, den = int(num_s), int(den_s)
+                num, den = parse_int(num_s), parse_int(den_s)
                 if den == 0:
                     raise MalformedInput(f"zero denominator in {s!r}", field=field)
                 if not self.is_field:
@@ -112,7 +130,7 @@ class CoeffRing:
                         f"denominator of {s!r} vanishes mod {self.p}", field=field
                     )
                 return _from_numerators(self, (num,), den)[0]
-            return self.from_int(int(s))
+            return self.from_int(parse_int(s))
         except ValueError:
             raise MalformedInput(f"cannot parse exact value {s!r}", field=field) from None
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import isqrt, lcm
 from operator import index
@@ -328,13 +327,20 @@ def _search_decreasing(word: Word, d: int, window_start: int,
 
     Cuts are pushed as far right as possible (first cut maximal, then the
     next, and so on), which keeps results reproducible. Memoized on
-    (previous block, remaining depth).
+    (previous block, remaining depth) in a dict local to the call.
 
     Interval rule: with l the common-prefix length of letters[phi:] and
     letters[plo:], block [phi, end) is strictly below block [plo, phi) iff
     l < phi - plo, letters[phi + l] < letters[plo + l] and end > phi + l.
     So a state scans l once, fails in O(l) when the letter test fails, and
     otherwise the valid ends are the interval (phi + l, n - rem + 1].
+
+    First-letter test: a block sits strictly below the one before it only
+    if its first letter is at most that block's first letter, so a
+    candidate next block is skipped by one comparison before the recursive
+    call. Block first letters therefore never rise, and the letter bound
+    needs checking on the first block alone. A strictly increasing word is
+    refused by comparisons without any recursive call.
     """
     n = len(word)
     if d == 0:
@@ -342,17 +348,13 @@ def _search_decreasing(word: Word, d: int, window_start: int,
     if n - window_start < d:
         return None
     letters = word.letters
+    memo = {}
 
-    @lru_cache(maxsize=None)
     def best_tail(plo: int, phi: int, rem: int):
         # lex-greatest tuple of cut indices finishing `rem` more blocks,
-        # the next starting at phi and required to sit strictly below
+        # the next starting at phi (letters[phi] <= letters[plo], checked
+        # by the caller) and required to sit strictly below
         # letters[plo:phi]; None when impossible
-        last = n - rem + 1  # right-most end that leaves a letter per block
-        if phi >= last:
-            return None
-        if letter_bound is not None and letters[phi] >= letter_bound:
-            return None
         top = min(phi - plo, n - phi)
         l = 0
         while l < top and letters[phi + l] == letters[plo + l]:
@@ -361,25 +363,33 @@ def _search_decreasing(word: Word, d: int, window_start: int,
             return None
         if rem == 1:
             return (n,)
-        for end in range(last, phi + l, -1):
-            tail = best_tail(phi, end, rem - 1)
+        first = letters[phi]
+        rem -= 1
+        for end in range(n - rem, phi + l, -1):
+            if letters[end] > first:
+                continue
+            key = (phi, end, rem)
+            if key in memo:
+                tail = memo[key]
+            else:
+                tail = memo[key] = best_tail(phi, end, rem)
             if tail is not None:
                 return (end,) + tail
         return None
 
-    try:
-        for c0 in range(n - d, window_start - 1, -1):
-            if letter_bound is not None and letters[c0] >= letter_bound:
+    for c0 in range(n - d, window_start - 1, -1):
+        first = letters[c0]
+        if letter_bound is not None and first >= letter_bound:
+            continue
+        if d == 1:
+            return Factorization(word, (c0, n))
+        for c1 in range(n - (d - 1), c0, -1):
+            if letters[c1] > first:
                 continue
-            if d == 1:
-                return Factorization(word, (c0, n))
-            for c1 in range(n - (d - 1), c0, -1):
-                tail = best_tail(c0, c1, d - 1)
-                if tail is not None:
-                    return Factorization(word, (c0, c1) + tail)
-        return None
-    finally:
-        best_tail.cache_clear()
+            tail = best_tail(c0, c1, d - 1)
+            if tail is not None:
+                return Factorization(word, (c0, c1) + tail)
+    return None
 
 
 def find_d_decreasing(u, d: int) -> Factorization | None:
@@ -507,17 +517,19 @@ def decreasing_witness(u, d: int, b: BoundSequence, k: int, eps,
         raise PreconditionViolated(
             f"word length {n} is below the guarantee threshold N={bounds.N}"
         )
-    cuts = _witness_cuts(u.letters, d, b, eps, bounds.trace, n)
+    cuts = _witness_cuts(u.letters, d, b, eps.numerator, eps.denominator,
+                         bounds.trace, n)
     return Factorization(u, cuts)
 
 
-def _witness_cuts(letters, level: int, b: BoundSequence, eps: Fraction,
+def _witness_cuts(letters, level: int, b: BoundSequence, num: int, den: int,
                   trace: tuple[BoundsLevel, ...], n: int) -> tuple[int, ...]:
+    # eps = num/den at this level; floors in integers, eps/2 by doubling den
     if level == 0:
         return (n,)
     lev = trace[level - 1]
-    wx_len = int(eps * n)
-    x_len = int(eps * n / 2)
+    wx_len = num * n // den
+    x_len = num * n // (2 * den)
     w_start = n - wx_len
     x_start = n - x_len
     b1 = b.value(lev.M1)
@@ -533,7 +545,7 @@ def _witness_cuts(letters, level: int, b: BoundSequence, eps: Fraction,
             f"no letter in [{lev.M1}, {lev.M2}) in the scanned segments; "
             "preconditions should make this impossible"
         )
-    tail = _witness_cuts(letters, level - 1, b, eps / 2, trace, n)
+    tail = _witness_cuts(letters, level - 1, b, num, 2 * den, trace, n)
     return (pos,) + tail
 
 
@@ -548,29 +560,50 @@ def _oracle_candidates(n: int, cap: int, limit: int, bounds):
     c adds c + sum(min(x, c)) to the weight, so weight never falls and that
     increment grows with c), or when it holds a run of letters <= m of
     length >= b_m for some m < len(bounds) (no extension is bounded).
+
+    Each node costs O(top) once and O(1) per letter it tries. The weight
+    increment is carried from c - 1 to c: it grows by 1 plus the number of
+    prefix letters >= c, read off per-letter counts. The run test is a
+    suffix-OR over m: appending c closes a run that is too long iff some
+    m >= c has runs[m] + 1 >= b_m, so the letters refused are exactly
+    those up to the largest such m, `dead`. The child's run tuple is built
+    only for a letter that is kept.
     """
     top = min(cap, len(bounds) - 1)
     if n >= min(bounds[top + 1:], default=n + 1):
         return  # for m in (cap, L) every word is one run of letters <= m
     low = bounds[:top + 1]
     alphabet = range(cap + 1)
+    zeros = (0,) * (top + 1)
+    counts = [0] * (cap + 1)  # counts[v]: letters v in the current prefix
 
     def grow(prefix, w, runs):
+        # runs[m]: length of the run of letters <= m ending the prefix
+        dead = -1
+        for m in range(top, -1, -1):
+            if runs[m] + 1 >= low[m]:
+                dead = m
+                break
+        leaf = len(prefix) + 1 == n
+        wc = w
+        at_least = len(prefix)  # prefix letters >= c
         for c in alphabet:
-            wc = w + c + sum(min(x, c) for x in prefix)
+            if c:
+                at_least -= counts[c - 1]
+                wc += 1 + at_least
             if wc > limit:
                 break
-            # runs[m]: length of the run of letters <= m ending here
-            rc = tuple(r + 1 if c <= m else 0 for m, r in enumerate(runs))
-            if any(r >= bm for r, bm in zip(rc, low)):
+            if c <= dead:
                 continue
             word = prefix + (c,)
-            if len(word) == n:
+            if leaf:
                 yield word
             else:
-                yield from grow(word, wc, rc)
+                counts[c] += 1
+                yield from grow(word, wc, zeros[:c] + tuple([r + 1 for r in runs[c:]]))
+                counts[c] -= 1
 
-    yield from grow((), 0, (0,) * len(low))
+    yield from grow((), 0, zeros)
 
 
 def _oracle_length_ok(d: int, b: BoundSequence, k: int, n: int, cap: int) -> bool:

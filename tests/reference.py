@@ -3,7 +3,7 @@ the library's fast paths are checked against."""
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, groupby, permutations, product
 
 from orelab.errors import OrelabError
 from orelab.words import as_word
@@ -31,3 +31,21 @@ def weight_bruteforce(u) -> int:
         if best is None or total < best:
             best = total
     return best
+
+
+def oracle_candidates_bruteforce(n: int, cap: int, limit: int, bounds):
+    """Reference for words._oracle_candidates: every word of length n over
+    0..cap, in lexicographic order, of weight <= limit and with no run of
+    letters <= m of length >= b_m for any m < len(bounds). For m >= cap
+    such a run is the whole word, so a length n >= b_m leaves no word."""
+    for u in product(range(cap + 1), repeat=n):
+        if sum(accumulate(sorted(u))) > limit:
+            continue
+        if any(
+            len(list(run)) >= bm
+            for m, bm in enumerate(bounds)
+            for low, run in groupby(u, key=lambda x: x <= m)
+            if low
+        ):
+            continue
+        yield u

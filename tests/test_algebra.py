@@ -80,7 +80,7 @@ from orelab.radical import (
     principal_ideal,
     verify_nilpotent_image,
 )
-from orelab.rings import GF, QQ, ZZ, _from_numerators, _numerators
+from orelab.rings import GF, QQ, ZZ, _from_numerators, _numerators, parse_int
 from orelab.words import BoundSequence, Word
 
 
@@ -1199,6 +1199,14 @@ def test_load_reports_bad_json_line():
     (lambda d: d.update(rank=0), "rank"),
     (lambda d: d.update(structure_constants=[[0, 9, 1, "1"]]), "structure_constants[0]"),
     (lambda d: d.update(structure_constants=[[0, 1, 1, "1.5"]]), "structure_constants[0]"),
+    # int() reads Arabic-Indic digits, underscores and Unicode spaces
+    (lambda d: d.update(structure_constants=[[0, 1, 1, "\u0663"]]), "structure_constants[0]"),
+    (lambda d: d.update(structure_constants=[[0, 1, 1, "\u0661/2"]]), "structure_constants[0]"),
+    (lambda d: d.update(structure_constants=[[0, 1, 1, "1/1_0"]]), "structure_constants[0]"),
+    (lambda d: d.update(derivations={"bad": [["0", "0", "0"], ["0", "0", "1_0"], ["0"] * 3]}),
+     "derivations['bad'][1][2]"),
+    (lambda d: d.update(derivations={"bad": [["0", "\u20030", "0"], ["0"] * 3, ["0"] * 3]}),
+     "derivations['bad'][0][1]"),
     (lambda d: d.update(unit=7), "unit"),
     (lambda d: d.update(derivations={"bad": [["1"]]}), "derivations"),
     (lambda d: d.update(identities={"bad": {"degree": 2, "terms": [{"perm": [1, 2], "coeff": 1}]}}),
@@ -1210,6 +1218,25 @@ def test_load_rejects_malformed(mutate, field_part):
     with pytest.raises(MalformedInput) as exc:
         load_algebra(json.dumps(doc))
     assert field_part in (exc.value.field or "")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-3", -3), ("+3", 3), (" 12\t", 12), ("007", 7), ("-0", 0),
+])
+def test_parse_int_takes_signed_ascii_decimals(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "-", "+-3", "\u0663", "1\u0663", "-\u0661", "1_0", "\u00b2", "3.0",
+    "\u20033", "0x1", "1 2",
+])
+def test_parse_int_refuses_everything_else(text):
+    with pytest.raises(ValueError, match="invalid integer"):
+        parse_int(text)
+    for ring in (ZZ, QQ, GF(5)):
+        with pytest.raises(MalformedInput, match="cannot parse exact value"):
+            ring.parse(text)
 
 
 def test_load_rejects_integer_ring_fractions():

@@ -73,6 +73,29 @@ def test_words_analyze_refuses_non_ascii_digits(word, bad):
       "--exponents", "0,1", "--k", "1"), "unknown basis element '\u0661'", 0),
     (("ore-nilpotency", "FILE", "--set", "x^\u0663*e12"), "unknown basis element 'x^\u0663'", 0),
     (("ore-nilpotency", "FILE", "--set", "x^\u00b2*e12"), "unknown basis element 'x^\u00b2'", 0),
+    # a value or an option: int() took these as 3, 1 and 10
+    (("ore-nilpotency", "FILE", "--set", "\u0663*e12"), "bad coefficient '\u0663'", 0),
+    (("ore-nilpotency", "FILE", "--set", "1_0*e12"), "bad coefficient '1_0'", 0),
+    (("ore-nilpotency", "FILE", "--set", "1/\u0661*e12"), "bad coefficient '1/\u0661'", 0),
+    (("radical-check", "FILE", "--candidate", "0,\u0661,0"),
+     "cannot parse exact value '\u0661'", 0),
+    (("words-bounds", "--d", "1", "--k", "1", "--b", "2", "--eps", "\u0661/2"),
+     "cannot parse rational '\u0661/2'", 0),
+    (("words-bounds", "--d", "1", "--k", "1", "--b", "2", "--eps", "1/1_0"),
+     "cannot parse rational '1/1_0'", 0),
+    (("words-analyze", "2,1", "--k", "\u0661"), "argument --k: invalid int value: '\u0661'", 0),
+    (("words-analyze", "2,1", "--decreasing", "1_0"),
+     "argument --decreasing: invalid int value: '1_0'", 0),
+    (("words-bounds", "--d", "\u0661", "--k", "1", "--b", "2"),
+     "argument --d: invalid int value: '\u0661'", 0),
+    (("words-bounds", "--d", "1", "--k", "1", "--b", "2,3", "--oracle", "\u0663", "1"),
+     "argument --oracle: invalid int value: '\u0663'", 0),
+    (("ore-rewrite", "FILE", "--head", "e12", "--indices", "e23",
+      "--exponents", "0,1", "--k", "\u0661"), "argument --k: invalid int value: '\u0661'", 0),
+    (("ore-nilpotency", "FILE", "--set", "e12", "--cap", "1_0"),
+     "argument --cap: invalid int value: '1_0'", 0),
+    (("examples", "charp", "--p", "\u0663", "--dir", "DIR"),
+     "argument --p: invalid int value: '\u0663'", 0),
 ])
 def test_integer_fields_take_ascii_digits_only(args, message, ascii_code, tmp_path, capsys):
     from orelab import cli
@@ -80,13 +103,14 @@ def test_integer_fields_take_ascii_digits_only(args, message, ascii_code, tmp_pa
     path = tmp_path / "upper3strict.json"
     assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    argv = [str(path) if a == "FILE" else a for a in args]
+    swap = {"FILE": str(path), "DIR": str(tmp_path)}
+    argv = [swap.get(a, a) for a in args]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
     # the same fields still take ASCII digits
     ascii_argv = [a.replace("\u0663", "3").replace("\u00b9", "1").replace("\u00b2", "2")
-                  .replace("\u0661", "1") for a in argv]
+                  .replace("\u0661", "1").replace("1_0", "10") for a in argv]
     assert cli.main(ascii_argv) == ascii_code
     assert message not in capsys.readouterr().err
 

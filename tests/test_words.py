@@ -23,6 +23,7 @@ from orelab.words import (
     Factorization,
     Ordering,
     Word,
+    _oracle_candidates,
     compare,
     compute_bounds,
     find_d_decreasing,
@@ -33,7 +34,11 @@ from orelab.words import (
     decreasing_witness,
     weight,
 )
-from reference import FactorialCapExceeded, weight_bruteforce
+from reference import (
+    FactorialCapExceeded,
+    oracle_candidates_bruteforce,
+    weight_bruteforce,
+)
 
 words = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(tuple)
 
@@ -440,6 +445,9 @@ def _end_by_end_search(letters, d, window_start, letter_bound):
 
 search_words = st.sampled_from((1, 3, 6)).flatmap(
     lambda top: st.lists(st.integers(0, top), min_size=1, max_size=30).map(tuple)
+) | st.sampled_from((1, 2, 3)).flatmap(
+    # long words over 2 to 4 letters, where the first-letter test skips most
+    lambda top: st.lists(st.integers(0, top), min_size=31, max_size=120).map(tuple)
 )
 
 
@@ -465,6 +473,16 @@ def test_constrained_matches_end_by_end_search(u, d, eps, M):
 ])
 def test_find_d_decreasing_none_on_long_words(letters, d):
     assert find_d_decreasing(letters, d) is None
+
+
+@pytest.mark.parametrize("n", [2, 60, 400])
+def test_find_d_decreasing_on_increasing_words(n):
+    # d = 1 still keeps the last letter as the block
+    assert find_d_decreasing(tuple(range(n)), 1).cuts == (n - 1, n)
+    assert find_d_decreasing_constrained(tuple(range(n)), 1, 1, n).cuts == (n - 1, n)
+    for d in (2, 3):
+        assert find_d_decreasing(tuple(range(n)), d) is None
+        assert find_d_decreasing_constrained(tuple(range(n)), d, 1, n) is None
 
 
 # --- bound recursion ------------------------------------------------------
@@ -750,6 +768,28 @@ def test_oracle_checks_only_unpruned_words(monkeypatch):
         # no run of letters <= m of length b_m
         for m, bm in enumerate(b.prefix):
             assert all(max(u[s:s + bm]) > m for s in range(len(u) - bm + 1))
+
+
+def test_oracle_candidates_match_bruteforce():
+    rng = random.Random(20261020)
+    seen_vacuous = seen_full = 0
+    for _ in range(400):
+        n, cap = rng.randint(1, 6), rng.randint(0, 5)
+        if (cap + 1) ** n > 8000:
+            cap = rng.randint(0, 2)
+        bounds = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 6)))
+        k = rng.randint(1, 2)
+        full = k * (n * (n + 1) // 2)
+        limit = full if rng.random() < 0.5 else rng.randint(0, full + 10)
+        got = list(_oracle_candidates(n, cap, limit, bounds))
+        assert got == list(oracle_candidates_bruteforce(n, cap, limit, bounds))
+        if n >= min(bounds[min(cap, len(bounds) - 1) + 1:], default=n + 1):
+            assert got == []
+            seen_vacuous += 1
+        if limit == full:
+            assert all(is_k_valid(u, k) for u in got)
+            seen_full += len(got)
+    assert seen_vacuous and seen_full
 
 
 def _oracle_bruteforce(d, b, k, max_n, max_letter):
