@@ -29,6 +29,10 @@ from .words import BoundSequence
 # sparse product, so this also caps its memory
 DEFAULT_IDENTITY_BUDGET = 200_000
 
+# entries of a derivation's identity table of delta-chains (see
+# `Derivation._chain`) before it is cleared
+_CHAIN_IDS = 256
+
 
 class Algebra:
     """Associative algebra given by sparse structure constants c_{ij}^k.
@@ -113,7 +117,11 @@ class Algebra:
     def _sum_num(self, terms):
         """Sum of m * nums / den over (integer m, numerators nums,
         denominator den) triples, as (numerators, denominator) over one
-        common denominator, not reduced mod p (as `_mul_num`)."""
+        common denominator, not reduced mod p (as `_mul_num`). A single
+        term is scaled as it stands."""
+        if len(terms) == 1:
+            (m, nums, den), = terms
+            return [m * n for n in nums], den
         den = lcm(*[d for _, _, d in terms])
         acc = [0] * self.rank
         for m, nums, d in terms:
@@ -244,9 +252,10 @@ class Derivation:
         )
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", rows)
-        # (ring, element) -> (its numerator chain, whether it reached zero);
-        # see `_chain`
+        # (ring, element) -> [its numerator chain, whether it reached zero],
+        # and id(element) -> (element, ring, that entry); see `_chain`
         object.__setattr__(self, "_chains", {})
+        object.__setattr__(self, "_chain_ids", {})
 
     def apply(self, ring: CoeffRing, x):
         self._check_length(x)
@@ -290,25 +299,38 @@ class Derivation:
 
     def _chain(self, ring: CoeffRing, x, order: int) -> tuple:
         """`_iterates_num` of the ring element x up to `order`, memoised by
-        (ring, x): a tuple of (numerators, denominator) pairs with tuple
-        numerators, so no caller can change a stored chain. The memo keeps
-        the longest prefix computed so far and whether it reached zero, and
-        extends the prefix when a larger order is asked."""
-        key = (ring, x)
-        entry = self._chains.get(key)
-        if entry is None:
-            chain, ended = (), False
-            start, steps = _numerators(ring, x), order
+        (ring, x) on equality: a tuple of (numerators, denominator) pairs
+        with tuple numerators, so no caller can change a stored chain. The
+        memo keeps the longest prefix computed so far and whether it
+        reached zero, and extends the prefix when a larger order is asked.
+
+        A repeat ask with the same element object and the same ring object
+        finds its entry by id(x) without hashing x's coordinates. The id
+        table holds x itself, so an id cannot be reused while its entry
+        lives, and it is cleared when it reaches _CHAIN_IDS entries. Equal
+        but distinct elements or rings fall through to the memo on
+        equality and share its entry."""
+        hit = self._chain_ids.get(id(x))
+        if hit is not None and hit[0] is x and hit[1] is ring:
+            entry = hit[2]
         else:
-            chain, ended = entry
-            if ended or len(chain) > order:
-                return chain[:order + 1]
+            entry = self._chains.setdefault((ring, x), [(), False])
+            ids = self._chain_ids
+            if len(ids) >= _CHAIN_IDS:
+                ids.clear()
+            ids[id(x)] = (x, ring, entry)
+        chain, ended = entry
+        if ended or len(chain) > order:
+            return chain[:order + 1]
+        if chain:
             # extend from the last stored iterate; `_iterates_num` returns it first
             start, steps = chain[-1], order - len(chain) + 1
             chain = chain[:-1]
+        else:
+            start, steps = _numerators(ring, x), order
         new = self._iterates_num(ring, *start, steps)
         chain += tuple((tuple(nums), den) for nums, den in new)
-        self._chains[key] = (chain, len(new) <= steps)
+        entry[:] = chain, len(new) <= steps
         return chain
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import comb
+from operator import index
 
 from .algebra import (Algebra, Derivation, MultilinearIdentity, _check_operands, b_sequence,
                       verify_identity)
@@ -93,36 +94,6 @@ class DiffPoly:
         return " + ".join(parts)
 
 
-def dp_add(A: Algebra, f: DiffPoly, g: DiffPoly) -> DiffPoly:
-    n = max(len(f.coeffs), len(g.coeffs))
-    z = A.zero()
-    out = []
-    for i in range(n):
-        a = f.coeffs[i] if i < len(f.coeffs) else z
-        b = g.coeffs[i] if i < len(g.coeffs) else z
-        out.append(A.add(a, b))
-    return DiffPoly(A, out)
-
-
-def commute_xd(A: Algebra, delta: Derivation, d: int, a):
-    """Expansion of x^d * a as [(binomial, delta^j(a), d - j)] for j = 0..d."""
-    if d < 0:
-        raise ValueError("d is a natural number")
-    chain = delta.iterates(A.ring, A.element(a), d)
-    chain += [A.zero()] * (d + 1 - len(chain))
-    return [(comb(d, j), cur, d - j) for j, cur in enumerate(chain)]
-
-
-def mul_x_left(A: Algebra, delta: Derivation, f: DiffPoly) -> DiffPoly:
-    """Single left multiplication by x: x * (a_i x^i) = a_i x^(i+1) + delta(a_i) x^i."""
-    z = A.zero()
-    out = [z] * (len(f.coeffs) + 1)
-    for i, c in enumerate(f.coeffs):
-        out[i + 1] = A.add(out[i + 1], c)
-        out[i] = A.add(out[i], delta.apply(A.ring, c))
-    return DiffPoly(A, out)
-
-
 def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> DiffPoly:
     """Product in A[x; delta]: x-powers commute past coefficients via the
     binomial expansion of x^d * a.
@@ -160,14 +131,6 @@ def _ore_terms(A: Algebra, fnums, chains) -> list:
     return by_degree
 
 
-def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
-    it = iter(polys)
-    acc = next(it)
-    for p in it:
-        acc = ore_multiply(A, delta, acc, p)
-    return acc
-
-
 @dataclass(frozen=True)
 class CanonicalTerm:
     """coeff * a_head * delta^{j_1}(a_{i_1}) * ... * delta^{j_n}(a_{i_n}) * x^M."""
@@ -189,14 +152,16 @@ class CanonicalTerm:
 
 def _check_factors(A: Algebra, delta: Derivation, generators, head: int, indices,
                    exponents):
-    """(generators as elements, indices, exponents) of the product
-    a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}}; ValueError unless there
-    is at least one factor after the head, every index selects a
+    """(generators as elements, head, indices, exponents) of the product
+    a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}}, the integers read with
+    `operator.index` (TypeError for a float or a string); ValueError unless
+    there is at least one factor after the head, every index selects a
     generator, and there is one natural exponent per x-block."""
     _check_operands(A, delta)
     gens = [A.element(g) for g in generators]
-    gen_indices = tuple(map(int, indices))
-    exps = list(map(int, exponents))
+    head = index(head)
+    gen_indices = tuple(map(index, indices))
+    exps = list(map(index, exponents))
     if not gen_indices:
         raise ValueError("need at least one factor after the head")
     if not (0 <= head < len(gens) and 0 <= min(gen_indices) and max(gen_indices) < len(gens)):
@@ -205,7 +170,7 @@ def _check_factors(A: Algebra, delta: Derivation, generators, head: int, indices
         raise ValueError("need one exponent per x-block: p_1..p_{n+1}")
     if min(exps) < 0:
         raise ValueError("exponents are natural numbers")
-    return gens, gen_indices, exps
+    return gens, head, gen_indices, exps
 
 
 def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
@@ -216,15 +181,22 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
     (i_1..i_n) select the factors; exponents = (p_1..p_{n+1}), all <= k.
     The x-powers are pushed right with the binomial expansion; branches
     whose derivative iterate delta^j(a) vanishes contribute nothing and
-    are dropped. Terms with equal (indices, jword, xdeg) merge with
-    summed integer coefficients, zeros drop, output sorted by that key.
+    are dropped. Each leaf of the expansion is one term: its j-word has
+    length n, distinct leaves have distinct j-words (and the x-degree
+    follows from the j-word), and its coefficient is a product of
+    binomials C(d, j) with j <= d, so positive. No two terms merge and
+    none is zero; the walk takes j in ascending order at every factor,
+    so the terms come out sorted by (indices, jword, xdeg) as built.
     Every partial product visited counts against DEFAULT_REWRITE_BUDGET;
     BudgetExceeded is raised when the count passes it.
     """
-    gens, gen_indices, exps = _check_factors(A, delta, generators, head, indices, exponents)
+    gens, head, gen_indices, exps = _check_factors(A, delta, generators, head, indices,
+                                                   exponents)
     n = len(gen_indices)
-    if max(exps) > k:
+    if max(exps) > index(k):
         raise ExponentTooLarge(f"exponents {exps} exceed k={k}")
+    if A.is_zero_elem(gens[head]):
+        return []
 
     # per factor, the number of nonzero delta-iterates up to the largest
     # possible carried degree: delta^j(a) is nonzero exactly for j < reach
@@ -233,83 +205,102 @@ def rewrite_product(A: Algebra, delta: Derivation, generators, head: int,
 
     budget = DEFAULT_REWRITE_BUDGET
     visited = 0
-    out: dict = {}
-    if not A.is_zero_elem(gens[head]):
-        # (j-prefix, coefficient, x-degree carried into the next factor)
-        stack = [((), 1, 0)]
-        while stack:
-            jprefix, coeff, carried = stack.pop()
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(f"rewriting visits more than {budget} partial products")
-            t = len(jprefix)
-            if t == n:
-                key = (jprefix, carried + exps[n])
-                out[key] = out.get(key, 0) + coeff
-                continue
-            d = carried + exps[t]
-            for j in range(min(d + 1, reach[t])):
-                stack.append((jprefix + (j,), coeff * comb(d, j), d - j))
-
-    return [
-        CanonicalTerm(c, head, gen_indices, Word(jword), M)
-        for (jword, M), c in sorted(out.items())
-        if c != 0
-    ]
+    out = []
+    # (j-prefix, coefficient, x-degree carried into the next factor); j is
+    # pushed descending, so the smallest pops first
+    stack = [((), 1, 0)]
+    while stack:
+        jprefix, coeff, carried = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(f"rewriting visits more than {budget} partial products")
+        t = len(jprefix)
+        if t == n:
+            out.append(CanonicalTerm(coeff, head, gen_indices, Word._from_letters(jprefix),
+                                     carried + exps[n]))
+            continue
+        d = carried + exps[t]
+        for j in range(min(d + 1, reach[t]) - 1, -1, -1):
+            stack.append((jprefix + (j,), coeff * comb(d, j), d - j))
+    return out
 
 
 def evaluate_terms(A: Algebra, delta: Derivation, generators, terms) -> DiffPoly:
     """Sum of canonical terms as a DiffPoly; generators[i] is the element
     a_i referenced by term indices.
 
+    ValueError, before any product, for a malformed term: a j-word whose
+    length is not the number of indices, a head or index outside the
+    generator list, or a negative x-degree.
+
     Terms are taken in the given order, and each one reuses the partial
     products a_head * delta^{j_1}(a_{i_1}) * ... that it shares with the
-    term before it, so the sorted output of `rewrite_product` costs one
+    term before it (the same head, then the same index and j position by
+    position), so the sorted output of `rewrite_product` costs one
     product per distinct j-prefix. A term stops at its first zero partial
     product. Products stay integer numerators until the one reduction per
     x-degree. The delta-chains and the heads' numerators come from the
-    derivation's memo (`Derivation._chain`).
+    derivation's memo (`Derivation._chain`), each to the highest order a
+    term asks of its generator.
     """
     _check_operands(A, delta)
     terms = list(terms)
     ring = A.ring
     order: dict = {}  # generator index -> highest delta-order a term asks of it
+    jwords: dict = {}  # indices -> the j-words of the terms with them
     for t in terms:
+        letters = t.jword.letters
+        if len(letters) != len(t.indices):
+            raise ValueError(f"term with {len(t.indices)} indices and a j-word of "
+                             f"{len(letters)} letters")
+        if t.xdeg < 0:
+            raise ValueError(f"x-degree {t.xdeg} is not a natural number")
         order.setdefault(t.head, 0)
-        for idx, j in zip(t.indices, t.jword.letters):
+        jwords.setdefault(t.indices, []).append(letters)
+    for indices, words in jwords.items():
+        for idx, j in zip(indices, map(max, zip(*words))):
             if j > order.get(idx, -1):
                 order[idx] = j
+    if not all(0 <= idx < len(generators) for idx in order):
+        raise ValueError("head/indices out of range of the generator list")
     chains = {idx: delta._chain(ring, A.element(generators[idx]), j)
               for idx, j in order.items()}
     by_degree: dict = {}
-    # the previous term's factors (its head, then (index, j) pairs) and the
-    # partial product over each prefix of them: (numerators, denominator),
-    # or None once the product is zero
-    path: list = []
+    # the previous term's head, indices and j-word, and prods[s] = the
+    # partial product of its head and first s factors: (numerators,
+    # denominator), or None (then the last entry) once the product is zero
+    head = indices = letters = None
     prods: list = []
     for t in terms:
-        key = (t.head, *zip(t.indices, t.jword.letters))
-        s = 0
-        while s < min(len(key), len(path)) and key[s] == path[s]:
-            s += 1
-        del path[s:], prods[s:]
-        for s in range(s, len(key)):
-            if s == 0:
-                chain = chains[t.head]
-                cur = chain[0] if chain else ((), 1)
-            elif prods[-1] is None:
+        if t.head == head:
+            prev_indices, prev_letters = indices, letters
+            indices, letters = t.indices, t.jword.letters
+            s, m = 0, min(len(indices), len(prods) - 1)
+            while s < m and indices[s] == prev_indices[s] and letters[s] == prev_letters[s]:
+                s += 1
+            del prods[s + 1:]
+        else:
+            head, indices, letters = t.head, t.indices, t.jword.letters
+            chain = chains[head]
+            prods = [chain[0] if chain else None]
+            s = 0
+        cur = prods[-1]
+        for s in range(s, len(indices)):
+            if cur is None:
                 break
+            chain = chains[indices[s]]
+            j = letters[s]
+            # delta^j(a) = 0 for j past the chain; reduced mod p, so a
+            # product that vanishes in GF(p) ends the term
+            if j < len(chain):
+                nums, den = A._mul_num(*cur, *chain[j])
+                nums = _reduce(ring, nums)
+                cur = (nums, den) if any(nums) else None
             else:
-                idx, j = key[s]
-                chain = chains[idx]
-                # delta^j(a) = 0 for j past the chain; reduced mod p, so a
-                # product that vanishes in GF(p) ends the term
-                nums, den = A._mul_num(*prods[-1], *chain[j]) if j < len(chain) else ((), 1)
-                cur = _reduce(ring, nums), den
-            path.append(key[s])
-            prods.append(cur if any(cur[0]) else None)
-        if prods[-1] is not None and t.coeff:
-            by_degree.setdefault(t.xdeg, []).append((t.coeff, *prods[-1]))
+                cur = None
+            prods.append(cur)
+        if cur is not None and t.coeff:
+            by_degree.setdefault(t.xdeg, []).append((t.coeff, *cur))
     top = max(by_degree, default=-1)
     return DiffPoly(A, [_from_numerators(ring, *A._sum_num(by_degree.get(d, ())))
                         for d in range(top + 1)])
@@ -320,12 +311,14 @@ def direct_product(A: Algebra, delta: Derivation, generators, head: int,
     """a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}} by plain Ore multiplication.
 
     The factors are taken as in `rewrite_product`, with the same checks.
-    Equal to `ore_product` over the monomials a_head x^{p_1},
-    a_{i_1} x^{p_2}, ..., but the running product stays integer
-    numerators, (numerators, denominator) or None per x-degree, reduced
-    mod p once per factor; its coefficients become ring elements at the end.
+    Equal to the `ore_multiply` product of the monomials a_head x^{p_1},
+    a_{i_1} x^{p_2}, ... taken left to right, but the running product
+    stays integer numerators, (numerators, denominator) or None per
+    x-degree, reduced mod p once per factor; its coefficients become ring
+    elements at the end.
     """
-    gens, gen_indices, exps = _check_factors(A, delta, generators, head, gen_indices, exponents)
+    gens, head, gen_indices, exps = _check_factors(A, delta, generators, head, gen_indices,
+                                                   exponents)
     ring = A.ring
     chain = delta._chain(ring, gens[head], 0)
     if not chain:

@@ -4,9 +4,13 @@ the library's fast paths are checked against."""
 from __future__ import annotations
 
 from itertools import accumulate, groupby, permutations, product
+from math import comb
 
-from orelab.errors import OrelabError
-from orelab.words import as_word
+from orelab import orepoly
+from orelab.algebra import Algebra, Derivation
+from orelab.errors import BudgetExceeded, ExponentTooLarge, OrelabError
+from orelab.orepoly import CanonicalTerm, DiffPoly, ore_multiply
+from orelab.words import Word, as_word
 
 DEFAULT_FACTORIAL_CAP = 8
 
@@ -49,3 +53,84 @@ def oracle_candidates_bruteforce(n: int, cap: int, limit: int, bounds):
         ):
             continue
         yield u
+
+
+# --- Ore polynomials: single steps and plain products -------------------------
+
+def dp_add(A: Algebra, f: DiffPoly, g: DiffPoly) -> DiffPoly:
+    n = max(len(f.coeffs), len(g.coeffs))
+    z = A.zero()
+    out = []
+    for i in range(n):
+        a = f.coeffs[i] if i < len(f.coeffs) else z
+        b = g.coeffs[i] if i < len(g.coeffs) else z
+        out.append(A.add(a, b))
+    return DiffPoly(A, out)
+
+
+def commute_xd(A: Algebra, delta: Derivation, d: int, a):
+    """Expansion of x^d * a as [(binomial, delta^j(a), d - j)] for j = 0..d."""
+    if d < 0:
+        raise ValueError("d is a natural number")
+    chain = delta.iterates(A.ring, A.element(a), d)
+    chain += [A.zero()] * (d + 1 - len(chain))
+    return [(comb(d, j), cur, d - j) for j, cur in enumerate(chain)]
+
+
+def mul_x_left(A: Algebra, delta: Derivation, f: DiffPoly) -> DiffPoly:
+    """Single left multiplication by x: x * (a_i x^i) = a_i x^(i+1) + delta(a_i) x^i."""
+    z = A.zero()
+    out = [z] * (len(f.coeffs) + 1)
+    for i, c in enumerate(f.coeffs):
+        out[i + 1] = A.add(out[i + 1], c)
+        out[i] = A.add(out[i], delta.apply(A.ring, c))
+    return DiffPoly(A, out)
+
+
+def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
+    it = iter(polys)
+    acc = next(it)
+    for p in it:
+        acc = ore_multiply(A, delta, acc, p)
+    return acc
+
+
+def rewrite_product_merged(A: Algebra, delta: Derivation, generators, head: int,
+                           indices, exponents, k: int) -> list[CanonicalTerm]:
+    """Reference for orepoly.rewrite_product: the same walk, in any order,
+    with the terms merged by (j-word, x-degree) in a dict, sorted, and
+    zero sums dropped. Visits the same partial products against the same
+    orepoly.DEFAULT_REWRITE_BUDGET."""
+    gens, head, gen_indices, exps = orepoly._check_factors(A, delta, generators, head, indices,
+                                                           exponents)
+    n = len(gen_indices)
+    if max(exps) > k:
+        raise ExponentTooLarge(f"exponents {exps} exceed k={k}")
+
+    chain_len = {i: len(delta._chain(A.ring, gens[i], sum(exps))) for i in set(gen_indices)}
+    reach = [chain_len[i] for i in gen_indices]
+
+    budget = orepoly.DEFAULT_REWRITE_BUDGET
+    visited = 0
+    out: dict = {}
+    if not A.is_zero_elem(gens[head]):
+        stack = [((), 1, 0)]
+        while stack:
+            jprefix, coeff, carried = stack.pop()
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(f"rewriting visits more than {budget} partial products")
+            t = len(jprefix)
+            if t == n:
+                key = (jprefix, carried + exps[n])
+                out[key] = out.get(key, 0) + coeff
+                continue
+            d = carried + exps[t]
+            for j in range(min(d + 1, reach[t])):
+                stack.append((jprefix + (j,), coeff * comb(d, j), d - j))
+
+    return [
+        CanonicalTerm(c, head, gen_indices, Word(jword), M)
+        for (jword, M), c in sorted(out.items())
+        if c != 0
+    ]

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_conjugate, random_derivation, random_element, run_orelab
-from reference import weight_bruteforce
+from reference import commute_xd, dp_add, mul_x_left, weight_bruteforce
 
 from orelab.algebra import b_sequence, inner_derivation, verify_leibniz
 from orelab.catalog import (
@@ -29,12 +29,9 @@ from orelab.catalog import (
 )
 from orelab.orepoly import (
     DiffPoly,
-    commute_xd,
     direct_product,
-    dp_add,
     evaluate_terms,
     minimal_nilpotency,
-    mul_x_left,
     rewrite_product,
     theorem_bound,
 )

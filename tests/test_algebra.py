@@ -24,6 +24,7 @@ from conftest import (
 )
 
 from orelab.algebra import (
+    _CHAIN_IDS,
     Algebra,
     Derivation,
     MultilinearIdentity,
@@ -359,6 +360,62 @@ def test_chain_memo_entries_are_shared_and_immutable(monkeypatch):
     D._chain(GF(5), (1, 2, 3), 1)
     D._chain(QQ, (1, 2, 3), 1)
     assert len(calls) == 3
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_chain_memo_identity_hit_skips_hashing(monkeypatch):
+    """A repeat ask with the same element and ring objects returns the
+    stored tuple without hashing the element or computing a chain; an
+    equal but distinct element shares that tuple through the memo on
+    equality; one tuple under GF(5) and under QQ keeps two chains."""
+    A = truncated_polynomial(QQ, 3)
+    D = scaling_derivation(A, 3, QQ.from_int(2))
+    x = _CountingTuple((Fraction(1, 2), Fraction(3), Fraction(-2, 3)))
+    calls = _counting_iterates(monkeypatch)
+    first = D._chain(A.ring, x, 4)
+    hashed = _CountingTuple.hashes
+    assert hashed > 0 and len(calls) == 1
+    for _ in range(3):
+        assert D._chain(A.ring, x, 4) is first
+    assert D._chain(A.ring, x, 2) == first[:3]
+    assert _CountingTuple.hashes == hashed and len(calls) == 1
+    y = tuple(Fraction(a.numerator, a.denominator) for a in x)
+    assert y == x and y is not x
+    assert D._chain(A.ring, y, 4) is first and len(calls) == 1
+    z = (1, 2, 3)
+    gf5, qq = D._chain(GF(5), z, 2), D._chain(QQ, z, 2)
+    assert len(calls) == 3
+    assert gf5 == ((z, 1), ((0, 4, 2), 1), ((0, 3, 3), 1))
+    assert qq == ((z, 1), ((0, 4, 12), 1), ((0, 8, 48), 1))
+    # the id table now names QQ for z: GF(5) finds its chain by equality
+    assert D._chain(GF(5), z, 2) == gf5 and D._chain(QQ, z, 2) is qq
+    assert len(calls) == 3
+
+
+def test_chain_memo_identity_table_stays_bounded(rng):
+    """More fresh elements than the identity table holds: the table never
+    grows past its bound, and every chain, asked again through the table
+    or through the memo on equality, equals the unmemoised one."""
+    A = random_conjugate(upper_2x2(), rng)
+    D = Derivation(random_derivation(A, rng).matrix)
+    xs = [random_element(A, rng) for _ in range(3 * _CHAIN_IDS + 5)]
+    for order, x in enumerate(xs):
+        order %= 4
+        assert D._chain(A.ring, x, order) == _unmemoised_chain(A, D, x, order)
+        assert 0 < len(D._chain_ids) <= _CHAIN_IDS
+    for x in xs:
+        assert D._chain(A.ring, x, 5) == _unmemoised_chain(A, D, x, 5)
+        assert D._chain(A.ring, tuple(list(x)), 2) == _unmemoised_chain(A, D, x, 2)
+    assert len(D._chain_ids) <= _CHAIN_IDS
 
 
 def test_chain_memo_leaves_derivation_value_unchanged():

@@ -1,10 +1,12 @@
 """Ore multiplication, canonical rewriting, and the nilpotency pipeline."""
 
 import itertools
+import random
 
 import pytest
 
 from conftest import random_conjugate, random_derivation, random_element, truncated_ideal
+from reference import commute_xd, dp_add, mul_x_left, ore_product, rewrite_product_merged
 
 from orelab import orepoly
 
@@ -24,12 +26,9 @@ from orelab.orepoly import (
     CanonicalTerm,
     DiffPoly,
     NilpotencyReport,
-    commute_xd,
     direct_product,
-    dp_add,
     evaluate_terms,
     minimal_nilpotency,
-    mul_x_left,
     ore_multiply,
     rewrite_product,
     theorem_bound,
@@ -176,6 +175,66 @@ def test_rewrite_budget(monkeypatch):
             rewrite_product(A, D, gens, 1, [1], (1, 0), 1)
 
 
+def _rewrite_reference_cases(rng):
+    """(A, D) pairs with fractional iterates, chains ended mod p, and
+    chains cut short below the carried degree."""
+    yield from _qq_evaluation_cases(rng)
+    for p in (2, 3, 5):
+        yield charp_truncated(p)
+    A = upper_2x2(GF(3))
+    yield A, inner_derivation(A, tuple(rng.randrange(3) for _ in range(A.rank)))
+    A = strictly_upper_3x3()
+    yield A, inner_derivation(A, A.basis_element(0))  # e23 -> e13 -> 0, e12 -> 0
+
+
+def _term_rows(terms):
+    return [(t.coeff, t.head, t.indices, t.jword.letters, t.xdeg) for t in terms]
+
+
+def test_rewrite_product_matches_merged_reference(rng):
+    """The leaf-order walk gives the terms of the merge-and-sort reference
+    in the same order, with zero generators and random elements among the
+    factors, and chains that end before the carried degree."""
+    cut_short = 0
+    for A, D in _rewrite_reference_cases(rng):
+        gens = [A.basis_element(i) for i in range(A.rank)]
+        gens += [random_element(A, rng), A.zero()]
+        for _ in range(40):
+            k, n = rng.randint(1, 3), rng.randint(1, 3)
+            head = rng.randrange(len(gens))
+            idx = tuple(rng.randrange(len(gens)) for _ in range(n))
+            exps = tuple(rng.randint(0, k) for _ in range(n + 1))
+            got = rewrite_product(A, D, gens, head, idx, exps, k)
+            want = rewrite_product_merged(A, D, gens, head, idx, exps, k)
+            assert _term_rows(got) == _term_rows(want)
+            if got and any(len(D._chain(A.ring, gens[i], sum(exps))) <= sum(exps[:t + 1])
+                           for t, i in enumerate(idx)):
+                cut_short += 1
+    assert cut_short > 20
+
+
+def test_rewrite_product_budget_matches_merged_reference(monkeypatch):
+    """Both walks count the same partial products: each raises
+    BudgetExceeded below the same budget and returns the same terms at it."""
+    A = random_conjugate(upper_2x2(), random.Random(24))
+    D = random_derivation(A, random.Random(25))
+    gens = [A.basis_element(i) for i in range(A.rank)] + [A.zero()]
+    cases = [(0, (1,), (1, 0), 1), (1, (2, 1), (2, 1, 2), 2), (2, (0, 1, 2), (1, 1, 1, 1), 1),
+             (0, (3, 1), (2, 2, 2), 2)]
+    for head, idx, exps, k in cases:
+        for budget in itertools.count():
+            monkeypatch.setattr(orepoly, "DEFAULT_REWRITE_BUDGET", budget)
+            try:
+                want = rewrite_product_merged(A, D, gens, head, idx, exps, k)
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    rewrite_product(A, D, gens, head, idx, exps, k)
+                continue
+            got = rewrite_product(A, D, gens, head, idx, exps, k)
+            assert _term_rows(got) == _term_rows(want)
+            break
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_rewrite_round_trip_exhaustive(k, rng):
     """Sum of canonical terms equals the direct Ore product, and every
@@ -267,6 +326,56 @@ def test_evaluate_terms_matches_per_term_reference(cases, rng):
             assert evaluate_terms(A, D, gens, sorted(terms, key=CanonicalTerm.key)) == expected
 
 
+def test_evaluate_terms_compares_head_index_and_letter(rng):
+    """Neighbouring terms that share the j-letters but not the indices,
+    the indices but not the head, or a prefix only: every order of one
+    term list gives the per-term sum."""
+    A = random_conjugate(upper_2x2(), rng)
+    D = random_derivation(A, rng)
+    gens = [A.basis_element(i) for i in range(A.rank)] + [random_element(A, rng)]
+    space = [(head, idx, js) for n in (1, 2, 3)
+             for head in range(len(gens))
+             for idx in itertools.product(range(len(gens)), repeat=n)
+             for js in itertools.product(range(3), repeat=n)]
+    terms = [CanonicalTerm(rng.randint(-2, 3), head, idx, Word(js), rng.randint(0, 2))
+             for head, idx, js in rng.sample(space, 80)]
+    expected = _per_term_evaluate(A, D, gens, terms)
+    orders = [
+        lambda t: t.key(),
+        lambda t: (t.jword.letters, t.indices, t.head),
+        lambda t: (t.jword.letters, t.head, t.indices),
+        lambda t: (len(t.indices), t.indices, t.jword.letters),
+    ]
+    for order in orders:
+        ranked = sorted(terms, key=order)
+        assert evaluate_terms(A, D, gens, ranked) == expected
+        assert evaluate_terms(A, D, gens, ranked[::-1]) == expected
+    rng.shuffle(terms)
+    assert evaluate_terms(A, D, gens, terms) == expected
+
+
+@pytest.mark.parametrize("head, indices, letters, xdeg, message", [
+    (0, (2, 1), (0,), 0, "2 indices and a j-word of 1 letters"),
+    (0, (2,), (0, 1), 0, "1 indices and a j-word of 2 letters"),
+    (-1, (2,), (0,), 0, "out of range"),
+    (0, (5,), (0,), 0, "out of range"),
+    (3, (2,), (0,), 0, "out of range"),
+    (0, (2,), (0,), -1, "natural number"),
+], ids=["short-jword", "long-jword", "head-minus-1", "index-5", "head-3", "xdeg-minus-1"])
+def test_evaluate_terms_refuses_malformed_terms(head, indices, letters, xdeg, message):
+    """A malformed term raises ValueError behind a well-formed one: a j-word
+    of another length is not cut to the indices, a head of -1 does not read
+    the last generator, an index past the list is no bare IndexError, and
+    a negative x-degree is not dropped."""
+    A = strictly_upper_3x3()  # generators e12, e13, e23; e12 e23 = e13
+    D = inner_derivation(A, A.basis_element(0))
+    gens = [A.basis_element(i) for i in range(A.rank)]
+    good = CanonicalTerm(1, 0, (2,), Word((0,)), 0)
+    assert not evaluate_terms(A, D, gens, [good]).is_zero
+    with pytest.raises(ValueError, match=message):
+        evaluate_terms(A, D, gens, [good, CanonicalTerm(1, head, indices, Word(letters), xdeg)])
+
+
 def test_evaluate_terms_stops_at_a_zero_prefix(monkeypatch):
     """A term stops at its first zero partial product, and the terms after
     it reuse that zero or recompute from the first factor that differs."""
@@ -302,7 +411,7 @@ def test_evaluate_terms_stops_at_a_zero_prefix(monkeypatch):
 def _monomial_product(A, D, gens, head, idx, exps):
     """The reference: ore_product over the monomials a_head x^{p_1}, ..."""
     factors = [DiffPoly.monomial(A, gens[i], p) for i, p in zip((head, *idx), exps)]
-    return orepoly.ore_product(A, D, factors)
+    return ore_product(A, D, factors)
 
 
 @pytest.mark.parametrize("product", [
@@ -327,6 +436,42 @@ def test_products_refuse_malformed_factors(product, head, idx, exps, message):
     gens = [A.basis_element(i) for i in range(A.rank)]
     with pytest.raises(ValueError, match=message):
         product(A, D, gens, head, idx, exps)
+
+
+def _integer_field_cases():
+    """(product, field, bad value -> call arguments) for each integer
+    argument of both products; k is rewrite_product's alone."""
+    fields = {
+        "head": lambda bad: (bad, [2], (1, 0)),
+        "index": lambda bad: (0, [bad], (1, 0)),
+        "exponent": lambda bad: (0, [2], (1, bad)),
+    }
+    for field, args in fields.items():
+        yield pytest.param(direct_product, args, id=f"direct-{field}")
+        yield pytest.param(lambda *a, args=args: rewrite_product(*a, 1), args,
+                           id=f"rewrite-{field}")
+    yield pytest.param(rewrite_product, lambda bad: (0, [2], (1, 0), bad), id="rewrite-k")
+
+
+@pytest.mark.parametrize("product, args", _integer_field_cases())
+@pytest.mark.parametrize("bad", [2.9, 1.5, "1"], ids=["float-2.9", "float-1.5", "str-1"])
+def test_products_read_integers_with_operator_index(product, args, bad):
+    """Head, indices, exponents and k are integers: a float is not cut to
+    its integer part and a digit string is not parsed."""
+    A = strictly_upper_3x3()  # generators e12, e13, e23
+    D = inner_derivation(A, A.basis_element(0))
+    gens = [A.basis_element(i) for i in range(A.rank)]
+    with pytest.raises(TypeError):
+        product(A, D, gens, *args(bad))
+
+
+def test_products_take_bools_as_integers():
+    A = strictly_upper_3x3()
+    D = inner_derivation(A, A.basis_element(0))
+    gens = [A.basis_element(i) for i in range(A.rank)]
+    assert direct_product(A, D, gens, 0, [2], (True, 0)) == direct_product(A, D, gens, 0, [2], (1, 0))
+    assert (_term_rows(rewrite_product(A, D, gens, False, [2], (1, 0), True))
+            == _term_rows(rewrite_product(A, D, gens, 0, [2], (1, 0), 1)))
 
 
 def test_monomial_refuses_negative_degree():
