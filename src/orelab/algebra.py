@@ -102,17 +102,8 @@ class Algebra:
     def scale(self, c, x):
         return _reduce(self.ring, [c * a for a in x])
 
-    def scale_int(self, m: int, x):
-        return self.scale(self.ring.from_int(m), x)
-
     def is_zero_elem(self, x) -> bool:
         return not any(x)
-
-    def linear_combination(self, pairs):
-        """Sum of m * x over (integer m, element x) pairs, with one exact
-        reduction per coordinate."""
-        terms = [(m, *_numerators(self.ring, x)) for m, x in pairs if m]
-        return _from_numerators(self.ring, *self._sum_num(terms))
 
     def _sum_num(self, terms):
         """Sum of m * nums / den over (integer m, numerators nums,
@@ -156,13 +147,6 @@ class Algebra:
                         for k, c in consts:
                             acc[k] += f * c
         return acc, xd * yd * self._den
-
-    def product(self, elems):
-        it = iter(elems)
-        acc = next(it)
-        for e in it:
-            acc = self.mul(acc, e)
-        return acc
 
     def basis_product(self, i: int, j: int):
         row = self.table.get((i, j), {})
@@ -614,21 +598,6 @@ def b_sequence(A: Algebra, delta: Derivation, T) -> BoundSequence:
             break
         span_now = span_next
     return BoundSequence(tuple(prefix), extend_tail=True)
-
-
-def unitalize(A: Algebra) -> Algebra:
-    """Adjoin a two-sided identity at basis index 0; A embeds as the
-    span of the remaining coordinates."""
-    r = A.rank
-    table = {}
-    table[(0, 0)] = {0: A.ring.one}
-    for i in range(r):
-        table[(0, i + 1)] = {i + 1: A.ring.one}
-        table[(i + 1, 0)] = {i + 1: A.ring.one}
-    for (i, j), row in A.table.items():
-        table[(i + 1, j + 1)] = {k + 1: c for k, c in row.items()}
-    names = ("1",) + tuple(A.basis_names)
-    return Algebra(A.ring, r + 1, names, table, unit=0)
 
 
 # --- the algebra-definition document ------------------------------------

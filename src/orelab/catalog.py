@@ -45,6 +45,18 @@ def full_matrix(n: int, ring: CoeffRing = QQ) -> Algebra:
     return _matrix_units(n, lambda a, b: True, ring)
 
 
+def block_upper(sizes, ring: CoeffRing = QQ) -> Algebra:
+    """Block upper-triangular matrices with diagonal blocks of the given
+    sizes: the matrix units e_ab whose row a lies in a block no later than
+    the block of column b, in row-major order. (n,) gives all n x n
+    matrices, (1,) * n the upper-triangular ones."""
+    sizes = [operator.index(s) for s in sizes]
+    if not sizes or min(sizes) < 1:
+        raise ValueError("block sizes are positive and there is at least one block")
+    block = [s for s, size in enumerate(sizes) for _ in range(size)]
+    return _matrix_units(len(block), lambda a, b: block[a] <= block[b], ring)
+
+
 def upper_2x2(ring: CoeffRing = QQ) -> Algebra:
     """Upper-triangular 2x2 matrices: basis e11, e12, e22 (unital)."""
     return _matrix_units(2, operator.le, ring)

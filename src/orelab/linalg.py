@@ -1,32 +1,82 @@
 """Exact linear algebra over the coefficient rings.
 
-One elimination, ``_echelon``, serves every ring, and the helpers of
+One elimination, ``_eliminate``, serves every ring, and the helpers of
 ``rings`` decide how its integer rows become ring elements. See
 ``Subspace`` for the one stored form of a span.
+
+A tall system over QQ or ZZ (at least twice as many distinct rows as
+columns, such as the Leibniz system of ``algebra.derivation_space``) is
+eliminated on a few of its rows: ``_echelon`` keeps one row of each set
+that repeat up to sign and scale, picks the earliest rows that are
+independent mod a fixed prime, eliminates those exactly, and keeps that
+result only if every kernel vector it gives annihilates each distinct row
+exactly. Otherwise it eliminates all the distinct rows. RREF is unique for
+a span, so the result is the same either way.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .rings import CoeffRing, _from_numerators, _numerators, _reduce, _unit_row
+
+# the prime of the row selection in `_echelon`: large, so that it seldom
+# divides the minors of a system and drops its rank (which costs one more
+# elimination), and below 2**30, so that a residue is a one-digit int
+_SELECTION_PRIME = 2**30 - 35
 
 
 def _echelon(rows, ring: CoeffRing):
     """Gauss-Jordan elimination on integer rows: (rows, pivot columns).
 
-    The rows are taken as integer numerators (`rings._numerators`). A row
-    is replaced by its canonical unit multiple (`rings._unit_row`: reduced
-    mod p over GF(p), primitive over QQ and ZZ) when it is picked as a
-    pivot row and after every update. The update is fraction-free and the
-    same for every ring: a row r with entry c in the pivot column of the
-    pivot row `row` (pivot pv) becomes (pv * r - c * row) / gcd(pv, c); its
-    subtraction runs over the nonzero columns of the pivot row only. The
-    rows returned are unique unit multiples (`_unit_row` with the pivot):
-    RREF row t is rows[t] / rows[t][pivots[t]]. Over ZZ this is the
-    rational elimination of the integer rows.
+    The rows are taken as integer numerators (`rings._numerators`) and
+    reduced by `_eliminate`. Over GF(p), and over QQ and ZZ when there are
+    fewer than 2n nonzero rows for n columns, that is the whole work.
+
+    Otherwise one row is kept of each set of rows that repeat up to sign
+    and scale (compared in primitive form). If at least 2n rows are still
+    left, `_independent_rows` picks the earliest ones that are independent
+    mod `_SELECTION_PRIME`; they are independent over QQ too, so they span
+    a subspace of the rows' span. `_eliminate` reduces the picked rows
+    only, and the result is kept only if `_annihilates` finds that each
+    kernel vector read off its free columns annihilates every distinct row
+    exactly (a dropped row is a multiple of one of them): then every row
+    lies in the span of the picked ones, and both spans have the same RREF.
+    If the prime dropped the rank, some row fails that check, and
+    `_eliminate` reduces all the distinct rows instead. With fewer than 2n
+    rows, as in a sparse system with many repeats, picking and checking
+    would cost more than they save.
     """
     work = [r for r in (_numerators(ring, x)[0] for x in rows) if any(r)]
+    if ring.p or not work or len(work) < 2 * len(work[0]):
+        return _eliminate(work, ring)
+    work = _distinct(work, ring)
+    n = len(work[0])
+    if len(work) < 2 * n:
+        return _eliminate(work, ring)
+    picked = _independent_rows(work)
+    # copies: `_eliminate` may update a row in place, and `work` is checked
+    echelon, pivots = _eliminate([list(work[t]) for t in picked], ring)
+    if _annihilates(echelon, pivots, n, work):
+        return echelon, pivots
+    return _eliminate(work, ring)
+
+
+def _eliminate(work, ring: CoeffRing):
+    """Fraction-free Gauss-Jordan elimination of the integer rows `work`
+    (a list it reorders and overwrites): (rows, pivot columns).
+
+    A row is replaced by its canonical unit multiple (`rings._unit_row`:
+    reduced mod p over GF(p), primitive over QQ and ZZ) when it is picked
+    as a pivot row and after every update. The update is fraction-free and
+    the same for every ring: a row r with entry c in the pivot column of
+    the pivot row `row` (pivot pv) becomes (pv * r - c * row) / gcd(pv, c);
+    its subtraction runs over the nonzero columns of the pivot row only.
+    The rows returned are unique unit multiples (`_unit_row` with the
+    pivot): RREF row t is rows[t] / rows[t][pivots[t]]. Over ZZ this is the
+    rational elimination of the integer rows.
+    """
     m = len(work)
     pivots = []
     for j in range(len(work[0]) if work else 0):
@@ -60,6 +110,79 @@ def _echelon(rows, ring: CoeffRing):
         if i + 1 == m:
             break
     return [_unit_row(ring, r, j) for r, j in zip(work, pivots)], pivots
+
+
+def _distinct(work, ring: CoeffRing):
+    """One row of each set of the nonzero integer rows `work` that repeat
+    up to sign and scale, in the order of first appearance: the primitive
+    multiple with a positive leading entry (`rings._unit_row`)."""
+    lead = [next(j for j, a in enumerate(r) if a) for r in work]
+    return [list(r) for r in dict.fromkeys(
+        tuple(_unit_row(ring, r, j)) for r, j in zip(work, lead))]
+
+
+def _independent_rows(work):
+    """Indices of the earliest rows of the integer rows `work` that are
+    independent mod `_SELECTION_PRIME`: row t is picked iff it is
+    independent of rows 0..t-1 mod that prime, so these are the pivot
+    columns of the transpose's echelon form mod the prime.
+
+    The picked rows are held in reduced echelon form mod the prime, stored
+    by the columns that are not yet pivots: cols[k][i] is entry k of
+    reduced row i, whose pivot is pivots[i]. A row's residual in column k
+    is then r[k] - sum over i of r[pivots[i]] * cols[k][i], one dot product
+    per free column, and the row is independent iff some residual is
+    nonzero. As the rank grows the free columns get fewer, so a tall system
+    costs little per row.
+    """
+    P = _SELECTION_PRIME
+    n = len(work[0])
+    free = list(range(n))
+    cols = [[] for _ in range(n)]
+    pivots = []
+    picked = []
+    for t, r in enumerate(work):
+        rp = [r[j] for j in pivots]
+        for k in free:
+            c = (r[k] - sum(map(mul, rp, cols[k]))) % P
+            if c:
+                break
+        else:
+            continue
+        # the residual over c is a new reduced row with pivot k; clear
+        # column k from the rows held so far
+        inv = pow(c, -1, P)
+        ck = cols[k]
+        free.remove(k)
+        for k2 in free:
+            col = cols[k2]
+            e = (r[k2] - sum(map(mul, rp, col))) % P * inv % P
+            if e:
+                cols[k2] = col = [(a - b * e) % P for a, b in zip(col, ck)]
+            col.append(e)
+        pivots.append(k)
+        picked.append(t)
+        if not free:
+            break
+    return picked
+
+
+def _annihilates(echelon, pivots, n: int, rows) -> bool:
+    """Whether each kernel vector of the `_eliminate` result (`echelon`,
+    `pivots`) with n columns annihilates every integer row of `rows`
+    exactly. The vector of free column f is an integer one: D at f,
+    -r[f] * D / r[j] at the pivot j of each echelon row r, and 0 elsewhere,
+    for D the lcm of the pivots r[j] with r[f] != 0."""
+    for f in set(range(n)).difference(pivots):
+        terms = [(j, r[f], r[j]) for r, j in zip(echelon, pivots) if r[f]]
+        D = lcm(*[pv for _, _, pv in terms])
+        v = [0] * n
+        v[f] = D
+        for j, c, pv in terms:
+            v[j] = -c * (D // pv)
+        if any(sum(map(mul, r, v)) for r in rows):
+            return False
+    return True
 
 
 def _field_echelon(rows, ring: CoeffRing):

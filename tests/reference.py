@@ -3,13 +3,15 @@ the library's fast paths are checked against."""
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby, permutations, product
+import itertools
+from itertools import accumulate, groupby, permutations
 from math import comb
 
 from orelab import orepoly
 from orelab.algebra import Algebra, Derivation
 from orelab.errors import BudgetExceeded, ExponentTooLarge, OrelabError
 from orelab.orepoly import CanonicalTerm, DiffPoly, ore_multiply
+from orelab.rings import _from_numerators, _numerators
 from orelab.words import Word, as_word
 
 DEFAULT_FACTORIAL_CAP = 8
@@ -42,7 +44,7 @@ def oracle_candidates_bruteforce(n: int, cap: int, limit: int, bounds):
     0..cap, in lexicographic order, of weight <= limit and with no run of
     letters <= m of length >= b_m for any m < len(bounds). For m >= cap
     such a run is the whole word, so a length n >= b_m leaves no word."""
-    for u in product(range(cap + 1), repeat=n):
+    for u in itertools.product(range(cap + 1), repeat=n):
         if sum(accumulate(sorted(u))) > limit:
             continue
         if any(
@@ -53,6 +55,42 @@ def oracle_candidates_bruteforce(n: int, cap: int, limit: int, bounds):
         ):
             continue
         yield u
+
+
+# --- algebras: element helpers and the unitalization ---------------------
+
+def scale_int(A: Algebra, m: int, x):
+    return A.scale(A.ring.from_int(m), x)
+
+
+def linear_combination(A: Algebra, pairs):
+    """Sum of m * x over (integer m, element x) pairs, with one exact
+    reduction per coordinate."""
+    terms = [(m, *_numerators(A.ring, x)) for m, x in pairs if m]
+    return _from_numerators(A.ring, *A._sum_num(terms))
+
+
+def product(A: Algebra, elems):
+    it = iter(elems)
+    acc = next(it)
+    for e in it:
+        acc = A.mul(acc, e)
+    return acc
+
+
+def unitalize(A: Algebra) -> Algebra:
+    """Adjoin a two-sided identity at basis index 0; A embeds as the
+    span of the remaining coordinates."""
+    r = A.rank
+    table = {}
+    table[(0, 0)] = {0: A.ring.one}
+    for i in range(r):
+        table[(0, i + 1)] = {i + 1: A.ring.one}
+        table[(i + 1, 0)] = {i + 1: A.ring.one}
+    for (i, j), row in A.table.items():
+        table[(i + 1, j + 1)] = {k + 1: c for k, c in row.items()}
+    names = ("1",) + tuple(A.basis_names)
+    return Algebra(A.ring, r + 1, names, table, unit=0)
 
 
 # --- Ore polynomials: single steps and plain products -------------------------

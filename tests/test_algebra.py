@@ -22,6 +22,7 @@ from conftest import (
     random_element,
     truncated_ideal,
 )
+from reference import linear_combination, product, scale_int, unitalize
 
 from orelab.algebra import (
     _CHAIN_IDS,
@@ -35,11 +36,11 @@ from orelab.algebra import (
     load_algebra,
     nilpotency_index,
     parse_algebra_document,
-    unitalize,
     verify_identity,
     verify_leibniz,
 )
 from orelab.catalog import (
+    block_upper,
     charp_truncated,
     commutators_identity,
     formal_derivative,
@@ -184,7 +185,7 @@ def test_charp_derivative_accepted():
     D = formal_derivative(A, 3)
     t, t2 = A.basis_element(1), A.basis_element(2)
     assert D.apply(A.ring, t) == A.basis_element(0)
-    assert D.apply(A.ring, t2) == A.scale_int(2, t)
+    assert D.apply(A.ring, t2) == scale_int(A, 2, t)
 
 
 def test_char0_formal_derivative_rejected():
@@ -233,8 +234,8 @@ def test_derivation_iterates_stop_before_first_zero(rng):
     assert ad.iterates(upper.ring, e12, 5) == [e12]
     charp, d = charp_truncated(3)
     one, t, t2 = (charp.basis_element(i) for i in range(3))
-    assert d.iterates(charp.ring, t2, 5) == [t2, charp.scale_int(2, t), charp.scale_int(2, one)]
-    assert d.iterates(charp.ring, t2, 1) == [t2, charp.scale_int(2, t)]
+    assert d.iterates(charp.ring, t2, 5) == [t2, scale_int(charp, 2, t), scale_int(charp, 2, one)]
+    assert d.iterates(charp.ring, t2, 1) == [t2, scale_int(charp, 2, t)]
     for A, D in ((upper, ad), (charp, d), charp_truncated(5)):
         assert D.iterates(A.ring, A.zero(), 4) == []
         for _ in range(20):
@@ -630,7 +631,7 @@ def test_identity_holds_on_random_tuples(rng):
     assert ok
     for _ in range(1000):
         xs = [random_element(A, rng) for _ in range(3)]
-        assert A.is_zero_elem(A.product(xs))
+        assert A.is_zero_elem(product(A, xs))
     sp = split_pair()
     ok, _ = verify_identity(sp, commutators_identity())
     assert ok
@@ -716,10 +717,10 @@ def _ref_verify_identity(A, ident):
     rebuilt with Algebra.mul."""
     for idx in itertools.product(range(A.rank), repeat=ident.degree):
         elems = [A.basis_element(i) for i in idx]
-        lhs = A.product(elems)
+        lhs = product(A, elems)
         rhs = A.zero()
         for perm, c in ident.coefficients:
-            rhs = A.add(rhs, A.scale_int(c, A.product([elems[p - 1] for p in perm])))
+            rhs = A.add(rhs, scale_int(A, c, product(A, [elems[p - 1] for p in perm])))
         if lhs != rhs:
             return False, idx
     return True, None
@@ -957,7 +958,7 @@ def test_nilpotency_agrees_with_naive_products(rng):
             continue
         for m in range(1, (idx or 6) + 1):
             prods = [
-                A.product(list(tup))
+                product(A, list(tup))
                 for tup in itertools.product([A.element(v) for v in S.basis], repeat=m)
             ]
             all_zero = all(A.is_zero_elem(p) for p in prods)
@@ -1042,16 +1043,16 @@ def _ref_nilpotent_image(A, delta, b, n, N):
     iterates of b, padded with zeros to order n."""
     if not _ref_nil_ideal(A, N)[0]:
         raise PreconditionViolated("N must be a verified nil ideal")
-    if not A.is_zero_elem(A.product([b] * n)):
+    if not A.is_zero_elem(product(A, [b] * n)):
         raise PreconditionViolated(f"b^{n} is nonzero")
     table = leibniz_coefficients(n)
     ideal = _ref_principal_ideal(A, b)
     iterates = delta.iterates(A.ring, b, n)
     iterates += [A.zero()] * (n + 1 - len(iterates))
-    terms_ok = all(ideal.contains(A.product([iterates[j] for j in comp]))
+    terms_ok = all(ideal.contains(product(A, [iterates[j] for j in comp]))
                    for comp, _c in table.coefficients if 0 in comp)
     c_top = table.coefficient((1,) * n)
-    lead = A.scale_int(c_top, A.product([iterates[1]] * n))
+    lead = scale_int(A, c_top, product(A, [iterates[1]] * n))
     return NilpotentImageReport(
         power_vanishes=True,
         ideal_terms_in_n=terms_ok,
@@ -1115,7 +1116,7 @@ def test_closure_checks_match_reference_loops(A, size, seed):
             assert not calls
         if ok:
             # b in the nil ideal V, so b^n = 0 at V's index n
-            b = A.linear_combination([(rng.randint(-2, 2), v) for v in V.basis])
+            b = linear_combination(A, [(rng.randint(-2, 2), v) for v in V.basis])
             n = cert.nilpotency_index
             assert (verify_nilpotent_image(A, D, b, n, V)
                     == _ref_nilpotent_image(A, D, b, n, V))
@@ -1161,6 +1162,41 @@ def test_derivation_space_spans_inner(rng):
     A = upper_2x2()
     basis = derivation_space(A)
     assert basis
+    for B in basis:
+        verify_leibniz(A, B)
+
+
+def upper_triangular_table(n):
+    """e_ab * e_bc = e_ac on the units a <= b of n x n matrices, written
+    out; the units in row-major order."""
+    units = [(a, b) for a in range(n) for b in range(a, n)]
+    return {(units.index((a, b)), units.index((b, c))): {units.index((a, c)): QQ.one}
+            for a, b in units for c in range(b, n)}
+
+
+def test_block_upper_extremes_are_full_and_upper_triangular():
+    for n in (1, 2, 3, 4):
+        F = block_upper((n,))
+        assert F.table == full_matrix(n).table and F.basis_names == full_matrix(n).basis_names
+        U = block_upper((1,) * n)
+        assert U.rank == n * (n + 1) // 2 and U.table == upper_triangular_table(n)
+    assert block_upper((1, 1)).table == upper_2x2().table
+    assert block_upper((2, 1), GF(3)).ring == GF(3)
+    for bad in ((), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            block_upper(bad)
+    with pytest.raises(TypeError):
+        block_upper((1.5,))
+
+
+@pytest.mark.parametrize("sizes, rank", [((2,), 4), ((2, 1), 7), ((3,), 9)])
+def test_block_upper_derivations_on_conjugates(sizes, rank, rng):
+    """Der(A) of M_2, [[M_2, *], [0, QQ]] and M_3 in a random basis: every
+    derivation is inner and the centre is QQ 1, so dim Der(A) = rank - 1."""
+    A = random_conjugate(block_upper(sizes), rng)
+    assert A.rank == rank
+    basis = derivation_space(A)
+    assert len(basis) == rank - 1
     for B in basis:
         verify_leibniz(A, B)
 

@@ -6,6 +6,7 @@ from math import gcd, lcm
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orelab import linalg
 from orelab.linalg import Subspace, nullspace, rref, solve_linear
 from orelab.rings import GF, QQ, ZZ
 
@@ -227,3 +228,94 @@ def test_contains_iff_span_keeps_dimension(data):
     if ring.p:
         v = [a % ring.p for a in v]
     assert V.contains(v) == (V.plus(Subspace.span(ring, 3, [v])).dim == V.dim)
+
+
+# --- tall systems: repeated rows dropped, rows picked mod a prime ---------------
+
+
+def spy_eliminations(monkeypatch):
+    """Wrap `linalg._eliminate`; returns the list of the row counts it is
+    called with."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(work, ring):
+        calls.append(len(work))
+        return eliminate(work, ring)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    return calls
+
+
+def test_tall_system_eliminates_the_picked_rows_only(monkeypatch):
+    # 8 distinct rows in 3 columns, of rank 3: three rows are picked, and
+    # the exact check accepts their elimination
+    rows = [[1, i, i * i] for i in range(8)]
+    calls = spy_eliminations(monkeypatch)
+    assert rref(rows, QQ) == reference_rref(rows)
+    assert calls == [3]
+
+
+def test_tall_system_falls_back_when_the_prime_drops_the_rank(monkeypatch):
+    # mod P every row is a multiple of (1, 1), so one row is picked; over
+    # QQ and ZZ the rows have rank 2, and the exact check sends the system
+    # to the full elimination of its four distinct rows
+    P = linalg._SELECTION_PRIME
+    ints = [[1, 1], [1, 1 + P], [2, 2 + P], [3, 3 + P]]
+    expected = reference_rref(ints)
+    assert len(expected) == 2
+    calls = spy_eliminations(monkeypatch)
+    S = Subspace.span(ZZ, 2, ints)
+    assert S.dim == 2 and S.basis == tuple(primitive_positive(r) for r in expected)
+    assert calls == [1, 4]
+    rows = [[Fraction(a) for a in r] for r in ints]
+    for run in (lambda: Subspace.span(QQ, 2, rows).basis, lambda: rref(rows, QQ)):
+        calls.clear()
+        assert list(run()) == expected
+        assert calls == [1, 4]
+    calls.clear()
+    assert nullspace(rows, QQ) == []
+    assert calls == [1, 4]
+
+
+@given(st.data())
+def test_tall_systems_match_reference(data):
+    """m rows in n columns, 2n <= m <= 4n: rows drawn from a few generators
+    (so the rank is often below n), and repeats of earlier rows, some
+    negated or scaled."""
+    ring = data.draw(st.sampled_from([QQ, ZZ]))
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(2 * n, 4 * n))
+    gens = data.draw(rows_over(ring, n, max_rows=n))
+    scalars = st.sampled_from([1, -1, 2, -3] + ([Fraction(-1, 2)] if ring == QQ else []))
+    rows = []
+    for _ in range(m):
+        if rows and data.draw(st.booleans()):
+            c = data.draw(scalars)
+            rows.append([c * a for a in rows[data.draw(st.integers(0, len(rows) - 1))]])
+        else:
+            coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                        max_size=len(gens)))
+            rows.append([sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(n)])
+    expected = reference_rref(rows)
+    S = Subspace.span(ring, n, rows)
+    assert_stored_form(ring, S)
+    if ring == ZZ:
+        assert S.basis == tuple(primitive_positive(r) for r in expected)
+    else:
+        assert S.basis == tuple(expected)
+    # the field functions, on the same rows (QQ takes integer rows too)
+    assert rref(rows, QQ) == expected
+    basis = nullspace(rows, QQ)
+    assert len(basis) == n - len(expected)
+    assert all(dot(QQ, r, v) == 0 for v in basis for r in rows)
+    assert Subspace.span(QQ, n, basis).dim == len(basis)
+    x0 = data.draw(st.lists(entries(QQ), min_size=n, max_size=n))
+    x = solve_linear(rows, [dot(QQ, r, x0) for r in rows], QQ)
+    assert x is not None and all(dot(QQ, r, x) == dot(QQ, r, x0) for r in rows)
+    rhs = data.draw(st.lists(entries(QQ), min_size=m, max_size=m))
+    augmented = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    x = solve_linear(rows, rhs, QQ)
+    assert (x is None) == any(r[n] and not any(r[:n]) for r in augmented)
+    if x is not None:
+        assert all(dot(QQ, r, x) == b for r, b in zip(rows, rhs))

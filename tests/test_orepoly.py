@@ -6,7 +6,15 @@ import random
 import pytest
 
 from conftest import random_conjugate, random_derivation, random_element, truncated_ideal
-from reference import commute_xd, dp_add, mul_x_left, ore_product, rewrite_product_merged
+from reference import (
+    commute_xd,
+    dp_add,
+    linear_combination,
+    mul_x_left,
+    ore_product,
+    rewrite_product_merged,
+    scale_int,
+)
 
 from orelab import orepoly
 
@@ -117,7 +125,7 @@ def test_commute_xd_matches_single_steps(d, rng):
         stepped = mul_x_left(A, D, stepped)
     assembled = DiffPoly.zero(A)
     for c, e, m in commute_xd(A, D, d, a):
-        assembled = dp_add(A, assembled, DiffPoly(A, [A.zero()] * m + [A.scale_int(c, e)]))
+        assembled = dp_add(A, assembled, DiffPoly(A, [A.zero()] * m + [scale_int(A, c, e)]))
     assert assembled == stepped
 
 
@@ -268,7 +276,7 @@ def _per_term_evaluate(A, D, gens, terms):
             elem = A.mul(elem, factor)
         by_degree.setdefault(t.xdeg, []).append((t.coeff, elem))
     top = max(by_degree, default=-1)
-    return DiffPoly(A, [A.linear_combination(by_degree.get(d, ())) for d in range(top + 1)])
+    return DiffPoly(A, [linear_combination(A, by_degree.get(d, ())) for d in range(top + 1)])
 
 
 def _qq_evaluation_cases(rng):

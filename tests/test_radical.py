@@ -13,8 +13,9 @@ from conftest import (
     random_element,
     truncated_ideal,
 )
+from reference import product, scale_int, unitalize
 
-from orelab.algebra import Algebra, inner_derivation, nilpotency_index, unitalize, verify_leibniz
+from orelab.algebra import Algebra, inner_derivation, nilpotency_index, verify_leibniz
 from orelab.catalog import (
     charp_truncated,
     full_matrix,
@@ -319,7 +320,7 @@ def test_leibniz_matches_concrete_evaluation(rng):
     D = scaling_derivation(A, 6, QQ.from_int(1))
     for n in range(1, 5):
         bs = [random_element(A, rng, span=2) for _ in range(n)]
-        prod = A.product(bs)
+        prod = product(A, bs)
         lhs = prod
         for _ in range(n):
             lhs = D.apply(A.ring, lhs)
@@ -330,7 +331,7 @@ def test_leibniz_matches_concrete_evaluation(rng):
             for chain, j in zip(chains, comp):
                 factor = chain[j] if j < len(chain) else A.zero()
                 term = factor if term is None else A.mul(term, factor)
-            rhs = A.add(rhs, A.scale_int(c, term))
+            rhs = A.add(rhs, scale_int(A, c, term))
         assert lhs == rhs
 
 
