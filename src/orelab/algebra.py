@@ -21,7 +21,7 @@ from .errors import (
     NotNilpotent,
     RankMismatch,
 )
-from .linalg import Subspace
+from .linalg import Subspace, _nullspace
 from .rings import GF, QQ, ZZ, CoeffRing, _from_numerators, _numerators, _reduce, _to_ring
 from .words import BoundSequence
 
@@ -369,24 +369,26 @@ class MultilinearIdentity:
 
 
 def _leibniz_terms(A: Algebra, rows, cols):
-    """The Leibniz residual D(e_i e_j) - D(e_i) e_j - e_i D(e_j), term by
-    term, over the algebra's integer rows.
+    """The Leibniz residual D(e_i e_j) - D(e_i) e_j - e_i D(e_j) over the
+    algebra's integer rows, one group of terms per structure constant and
+    side.
 
     rows[a] lists (b, x) and cols[b] lists (a, x), where x stands for the
-    entry D[a][b]: a value, or the index of an unknown. Yields
-    ((i, j, w), x, c): coordinate w of the residual at the pair (i, j)
-    gains c * x. A structure constant e_s e_t = ... + c e_k enters through
-    column k of D and rows s and t.
+    entry D[a][b]: a value, or the index of an unknown. Coordinate w of the
+    residual at the pair (i, j) has the key (i * r + j) * r + w, as in
+    `Algebra._check_associativity`. Yields (base, step, pairs, c): for
+    each (u, x) in pairs, the residual at key base + step * u gains c * x.
+    A structure constant e_s e_t = ... + c e_k enters through column k of
+    D and rows s and t.
     """
+    r = A.rank
+    rr = r * r
     for s, row in enumerate(A._rows):
         for t, consts in row:
             for k, c in consts:
-                for u, x in cols[k]:
-                    yield (s, t, u), x, c  # D(e_s e_t), coordinate u
-                for u, x in rows[s]:
-                    yield (u, t, k), x, -c  # D[s][u] e_s e_t in D(e_u) e_t
-                for u, x in rows[t]:
-                    yield (s, u, k), x, -c  # D[t][u] e_s e_t in e_s D(e_u)
+                yield (s * r + t) * r, 1, cols[k], c  # D(e_s e_t), coordinate u
+                yield t * r + k, rr, rows[s], -c  # D[s][u] e_s e_t in D(e_u) e_t, at (u, t, k)
+                yield s * rr + k, r, rows[t], -c  # D[t][u] e_s e_t in e_s D(e_u), at (s, u, k)
 
 
 def verify_leibniz(A: Algebra, matrix) -> Derivation:
@@ -397,24 +399,28 @@ def verify_leibniz(A: Algebra, matrix) -> Derivation:
     is not a unit (any over ZZ).
 
     The residual is summed for all pairs in one pass over the integer rows
-    of A and D; both are scaled by their own denominator, so every term
-    carries the same positive factor; it is tested for zero in the ring.
+    of A and D, keyed as in `_leibniz_terms`; both are scaled by their own
+    denominator, so every term carries the same positive factor; it is
+    tested for zero in the ring.
     """
+    r = A.rank
     rows = tuple(_to_ring(A.ring, row) for row in matrix)
-    if len(rows) != A.rank or any(len(r) != A.rank for r in rows):
-        raise RankMismatch(f"derivation matrix must be {A.rank}x{A.rank}")
+    if len(rows) != r or any(len(row) != r for row in rows):
+        raise RankMismatch(f"derivation matrix must be {r}x{r}")
     D = Derivation(rows)
-    cols = [[] for _ in range(A.rank)]
+    cols = [[] for _ in range(r)]
     for a, row in enumerate(D._rows):
         for b, x in row:
             cols[b].append((a, x))
     residual = {}
-    for key, x, c in _leibniz_terms(A, D._rows, cols):
-        residual[key] = residual.get(key, 0) + c * x
+    for base, step, pairs, c in _leibniz_terms(A, D._rows, cols):
+        for u, x in pairs:
+            key = base + step * u
+            residual[key] = residual.get(key, 0) + c * x
     values = _reduce(A.ring, residual.values())
-    failing = [key[:2] for key, v in zip(residual, values) if v]
+    failing = [key // r for key, v in zip(residual, values) if v]
     if failing:
-        i, j = min(failing)
+        i, j = divmod(min(failing), r)
         ring = A.ring
         ei, ej = A.basis_element(i), A.basis_element(j)
         lhs = D.apply(ring, A.basis_product(i, j))
@@ -432,27 +438,23 @@ def derivation_space(A: Algebra) -> list[tuple[tuple, ...]]:
     """
     if not A.ring.is_field:
         raise ValueError("derivation space computed over fields only")
-    from .linalg import nullspace
-
     r = A.rank
-    # one equation per coordinate of the residual, keyed (i, j, w), in the
-    # unknowns a*r + b = D[a][b]. The constants are the algebra's integer
-    # rows (the table times one denominator), which leave the solution
-    # space unchanged.
+    n = r * r
+    # one equation per coordinate of the residual, keyed as in
+    # `_leibniz_terms`, in the unknowns a*r + b = D[a][b]: a dense integer
+    # row. The constants are the algebra's integer rows (the table times
+    # one denominator), which leave the solution space unchanged.
     unknown_rows = [tuple((b, a * r + b) for b in range(r)) for a in range(r)]
     unknown_cols = [tuple((a, a * r + b) for a in range(r)) for b in range(r)]
     eqs = {}
-    for key, col, c in _leibniz_terms(A, unknown_rows, unknown_cols):
-        eq = eqs.setdefault(key, {})
-        eq[col] = eq.get(col, 0) + c
-    rows = []
-    for eq in eqs.values():
-        dense = [0] * (r * r)
-        for col, v in eq.items():
-            dense[col] = v
-        rows.append(dense)
+    for base, step, pairs, c in _leibniz_terms(A, unknown_rows, unknown_cols):
+        for u, col in pairs:
+            row = eqs.get(base + step * u)
+            if row is None:
+                row = eqs[base + step * u] = [0] * n
+            row[col] += c
     # a zero row keeps the column count when there are no constraints
-    basis = nullspace(rows or [[0] * (r * r)], A.ring)
+    basis = _nullspace(list(eqs.values()) or [[0] * n], A.ring)
     return [
         tuple(tuple(flat[a * r + b] for b in range(r)) for a in range(r))
         for flat in basis
@@ -460,13 +462,28 @@ def derivation_space(A: Algebra) -> list[tuple[tuple, ...]]:
 
 
 def inner_derivation(A: Algebra, u) -> Derivation:
-    """The commutator map x -> u*x - x*u."""
-    cols = []
-    for j in range(A.rank):
-        e = A.basis_element(j)
-        cols.append(A.sub(A.mul(u, e), A.mul(e, u)))
-    rows = tuple(tuple(cols[j][i] for j in range(A.rank)) for i in range(A.rank))
-    return Derivation(rows)
+    """The commutator map x -> u*x - x*u, whose column j is u e_j - e_j u.
+
+    One pass over the integer rows of A with u's numerators: a structure
+    constant e_s e_t = ... + c e_k adds u_s * c to entry (k, t), from
+    u e_t, and takes u_t * c from entry (k, s), from e_s u. Each row of the
+    matrix becomes ring elements at once.
+    """
+    _check_operands(A, elements=(u,))
+    r, ring = A.rank, A.ring
+    x, den = _numerators(ring, u)
+    acc = [[0] * r for _ in range(r)]
+    for s, row in enumerate(A._rows):
+        a = x[s]
+        for t, consts in row:
+            b = x[t]
+            if a or b:
+                for k, c in consts:
+                    out = acc[k]
+                    out[t] += a * c
+                    out[s] -= b * c
+    den *= A._den
+    return Derivation(tuple(_from_numerators(ring, row, den) for row in acc))
 
 
 def _identity_support(A: Algebra, d: int):

@@ -4,6 +4,16 @@ One elimination, ``_eliminate``, serves every ring, and the helpers of
 ``rings`` decide how its integer rows become ring elements. See
 ``Subspace`` for the one stored form of a span.
 
+``_echelon`` takes integer rows. The public functions bring ring-element
+rows to integer numerators first (``_numerator_rows``, one
+``rings._numerators`` scan per row); callers that build integer rows
+themselves hand them over without that scan. The Leibniz system of
+``algebra.derivation_space`` (through ``_nullspace``) and the trace-form
+gram matrix of ``radical.radical_char0`` are such rows: they come from the
+integer structure constants ``Algebra._rows`` without any ``mul``, as do
+the Leibniz residual of ``algebra.verify_leibniz`` and the matrix of
+``algebra.inner_derivation``.
+
 A tall system over QQ or ZZ (at least twice as many distinct rows as
 columns, such as the Leibniz system of ``algebra.derivation_space``) is
 eliminated on a few of its rows: ``_echelon`` keeps one row of each set
@@ -27,12 +37,20 @@ from .rings import CoeffRing, _from_numerators, _numerators, _reduce, _unit_row
 _SELECTION_PRIME = 2**30 - 35
 
 
+def _numerator_rows(ring: CoeffRing, rows):
+    """The integer numerators of ring-element rows (`rings._numerators`),
+    as new lists that `_echelon` may overwrite."""
+    return [_numerators(ring, x)[0] for x in rows]
+
+
 def _echelon(rows, ring: CoeffRing):
     """Gauss-Jordan elimination on integer rows: (rows, pivot columns).
 
-    The rows are taken as integer numerators (`rings._numerators`) and
-    reduced by `_eliminate`. Over GF(p), and over QQ and ZZ when there are
-    fewer than 2n nonzero rows for n columns, that is the whole work.
+    `rows` are lists of ints, each scaling a ring-element row (see
+    `_numerator_rows`); the lists may be overwritten. Zero rows are
+    dropped, and the rest are reduced by `_eliminate`. Over GF(p), and
+    over QQ and ZZ when there are fewer than 2n nonzero rows for n
+    columns, that is the whole work.
 
     Otherwise one row is kept of each set of rows that repeat up to sign
     and scale (compared in primitive form). If at least 2n rows are still
@@ -48,7 +66,7 @@ def _echelon(rows, ring: CoeffRing):
     rows, as in a sparse system with many repeats, picking and checking
     would cost more than they save.
     """
-    work = [r for r in (_numerators(ring, x)[0] for x in rows) if any(r)]
+    work = [r for r in rows if any(r)]
     if ring.p or not work or len(work) < 2 * len(work[0]):
         return _eliminate(work, ring)
     work = _distinct(work, ring)
@@ -116,7 +134,8 @@ def _distinct(work, ring: CoeffRing):
     """One row of each set of the nonzero integer rows `work` that repeat
     up to sign and scale, in the order of first appearance: the primitive
     multiple with a positive leading entry (`rings._unit_row`)."""
-    lead = [next(j for j, a in enumerate(r) if a) for r in work]
+    # the first nonzero value of a row first occurs at its leading column
+    lead = [r.index(next(filter(None, r))) for r in work]
     return [list(r) for r in dict.fromkeys(
         tuple(_unit_row(ring, r, j)) for r, j in zip(work, lead))]
 
@@ -186,7 +205,8 @@ def _annihilates(echelon, pivots, n: int, rows) -> bool:
 
 
 def _field_echelon(rows, ring: CoeffRing):
-    """`_echelon` for the functions whose results need division."""
+    """`_echelon` of integer rows for the functions whose results need
+    division."""
     if not ring.is_field:
         raise ValueError("rref requires a field")
     return _echelon(rows, ring)
@@ -194,7 +214,7 @@ def _field_echelon(rows, ring: CoeffRing):
 
 def rref(rows, ring: CoeffRing):
     """Reduced row echelon form over a field; returns canonical row tuples."""
-    work, pivots = _field_echelon(rows, ring)
+    work, pivots = _field_echelon(_numerator_rows(ring, rows), ring)
     return [_from_numerators(ring, r, r[j]) for r, j in zip(work, pivots)]
 
 
@@ -202,6 +222,11 @@ def nullspace(rows, ring: CoeffRing):
     """Basis of {x : rows @ x = 0} over a field, from the RREF free columns."""
     if not rows:
         return []
+    return _nullspace(_numerator_rows(ring, rows), ring)
+
+
+def _nullspace(rows, ring: CoeffRing):
+    """`nullspace` of integer rows (at least one), which it may overwrite."""
     n = len(rows[0])
     work, pivots = _field_echelon(rows, ring)
     free = sorted(set(range(n)).difference(pivots))
@@ -222,7 +247,8 @@ def solve_linear(rows, rhs, ring: CoeffRing):
     if not rows:
         return None
     n = len(rows[0])
-    work, pivots = _field_echelon([list(r) + [b] for r, b in zip(rows, rhs)], ring)
+    aug = _numerator_rows(ring, [(*r, b) for r, b in zip(rows, rhs)])
+    work, pivots = _field_echelon(aug, ring)
     if pivots and pivots[-1] == n:
         return None  # row 0 = 1: inconsistent
     x = [ring.zero] * n
@@ -268,7 +294,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient rank {ambient}")
-        return cls(ring, ambient, *_echelon(vecs, ring))
+        return cls(ring, ambient, *_echelon(_numerator_rows(ring, vecs), ring))
 
     @classmethod
     def zero(cls, ring: CoeffRing, ambient: int) -> "Subspace":

@@ -152,13 +152,15 @@ class CanonicalTerm:
 
 def _check_factors(A: Algebra, delta: Derivation, generators, head: int, indices,
                    exponents):
-    """(generators as elements, head, indices, exponents) of the product
+    """(generators, head, indices, exponents) of the product
     a_head x^{p_1} a_{i_1} ... a_{i_n} x^{p_{n+1}}, the integers read with
-    `operator.index` (TypeError for a float or a string); ValueError unless
-    there is at least one factor after the head, every index selects a
-    generator, and there is one natural exponent per x-block."""
-    _check_operands(A, delta)
-    gens = [A.element(g) for g in generators]
+    `operator.index` (TypeError for a float or a string); RankMismatch for
+    a generator of another length, and ValueError unless there is at least
+    one factor after the head, every index selects a generator, and there
+    is one natural exponent per x-block. Only the generators at the head
+    and the indices, the ones the product reads, are made elements."""
+    gens = list(generators)
+    _check_operands(A, delta, gens)
     head = index(head)
     gen_indices = tuple(map(index, indices))
     exps = list(map(index, exponents))
@@ -170,6 +172,8 @@ def _check_factors(A: Algebra, delta: Derivation, generators, head: int, indices
         raise ValueError("need one exponent per x-block: p_1..p_{n+1}")
     if min(exps) < 0:
         raise ValueError("exponents are natural numbers")
+    for i in {head, *gen_indices}:
+        gens[i] = A.element(gens[i])
     return gens, head, gen_indices, exps
 
 

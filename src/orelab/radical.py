@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Derivation, _check_operands, nilpotency_index
 from .errors import PreconditionViolated, VerificationFailed
-from .linalg import Subspace, nullspace
+from .linalg import Subspace, _nullspace
 from .rings import CoeffRing, _numerators, _reduce
 
 LEIBNIZ_CAP = 8
@@ -70,13 +70,14 @@ def radical_char0(A: Algebra) -> RadicalReport:
         raise PreconditionViolated("radical computation requires the rationals")
     # on the integer structure constants C = den * c (A._rows):
     # tr L_{e_k} = sum_j c_kj^j and B(e_i, e_j) = sum_k c_ij^k tr L_{e_k},
-    # so gram is den^2 * B, which has the same kernel
+    # so gram is den^2 * B, which has the same kernel; its integer rows go
+    # to the elimination as they are
     traces = [sum(c for j, consts in row for k, c in consts if k == j) for row in A._rows]
     gram = [[0] * A.rank for _ in range(A.rank)]
     for i, row in enumerate(A._rows):
         for j, consts in row:
             gram[i][j] = sum(c * traces[k] for k, c in consts)
-    basis = nullspace(gram, A.ring)
+    basis = _nullspace(gram, A.ring)
     ok, cert = is_nil_ideal(A, Subspace.span(A.ring, A.rank, basis))
     if not ok:
         raise VerificationFailed(

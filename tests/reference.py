@@ -10,6 +10,7 @@ from math import comb
 from orelab import orepoly
 from orelab.algebra import Algebra, Derivation
 from orelab.errors import BudgetExceeded, ExponentTooLarge, OrelabError
+from orelab.linalg import nullspace
 from orelab.orepoly import CanonicalTerm, DiffPoly, ore_multiply
 from orelab.rings import _from_numerators, _numerators
 from orelab.words import Word, as_word
@@ -91,6 +92,59 @@ def unitalize(A: Algebra) -> Algebra:
         table[(i + 1, j + 1)] = {k + 1: c for k, c in row.items()}
     names = ("1",) + tuple(A.basis_names)
     return Algebra(A.ring, r + 1, names, table, unit=0)
+
+
+# --- derivations: the Leibniz system term by term, commutators by mul -----
+
+def leibniz_terms(A: Algebra, rows, cols):
+    """Reference for algebra._leibniz_terms, one term at a time: yields
+    ((i, j, w), x, c), where coordinate w of the Leibniz residual at the
+    pair (i, j) gains c * x. rows[a] lists (b, x) and cols[b] lists (a, x)
+    for the entry D[a][b]; a structure constant e_s e_t = ... + c e_k
+    enters through column k of D and rows s and t."""
+    for s, row in enumerate(A._rows):
+        for t, consts in row:
+            for k, c in consts:
+                for u, x in cols[k]:
+                    yield (s, t, u), x, c  # D(e_s e_t), coordinate u
+                for u, x in rows[s]:
+                    yield (u, t, k), x, -c  # D[s][u] e_s e_t in D(e_u) e_t
+                for u, x in rows[t]:
+                    yield (s, u, k), x, -c  # D[t][u] e_s e_t in e_s D(e_u)
+
+
+def derivation_space(A: Algebra) -> list[tuple[tuple, ...]]:
+    """Reference for algebra.derivation_space: the Leibniz equations
+    collected per (i, j, w) key in dicts, made dense, and solved by the
+    public `nullspace` on those rows."""
+    r = A.rank
+    unknown_rows = [tuple((b, a * r + b) for b in range(r)) for a in range(r)]
+    unknown_cols = [tuple((a, a * r + b) for a in range(r)) for b in range(r)]
+    eqs: dict = {}
+    for key, col, c in leibniz_terms(A, unknown_rows, unknown_cols):
+        eq = eqs.setdefault(key, {})
+        eq[col] = eq.get(col, 0) + c
+    rows = []
+    for eq in eqs.values():
+        dense = [0] * (r * r)
+        for col, v in eq.items():
+            dense[col] = v
+        rows.append(dense)
+    basis = nullspace(rows or [[0] * (r * r)], A.ring)
+    return [
+        tuple(tuple(flat[a * r + b] for b in range(r)) for a in range(r))
+        for flat in basis
+    ]
+
+
+def inner_derivation(A: Algebra, u) -> Derivation:
+    """Reference for algebra.inner_derivation: column j is u e_j - e_j u,
+    built with `Algebra.mul` and `Algebra.sub`."""
+    cols = []
+    for j in range(A.rank):
+        e = A.basis_element(j)
+        cols.append(A.sub(A.mul(u, e), A.mul(e, u)))
+    return Derivation(tuple(tuple(cols[j][i] for j in range(A.rank)) for i in range(A.rank)))
 
 
 # --- Ore polynomials: single steps and plain products -------------------------

@@ -22,6 +22,7 @@ from conftest import (
     random_element,
     truncated_ideal,
 )
+import reference
 from reference import linear_combination, product, scale_int, unitalize
 
 from orelab.algebra import (
@@ -1200,6 +1201,81 @@ def test_block_upper_derivations_on_conjugates(sizes, rank, rng):
     for B in basis:
         verify_leibniz(A, B)
 
+
+
+def _typed(matrix):
+    """A matrix with the type of every entry, so that Fraction(2) and 2
+    compare unequal."""
+    return tuple(tuple((type(a), a) for a in row) for row in matrix)
+
+
+def _reference_algebras():
+    """The derivation-space cases: square_zero(2) has no Leibniz equations
+    at all; the conjugates have dense Fraction structure constants."""
+    rng = random.Random(20261020)
+    yield "square_zero(2)", square_zero(2)
+    yield "strictly_upper(4)", strictly_upper(4)
+    yield "upper_2x2", upper_2x2()
+    yield "truncated_polynomial(QQ, 4)", truncated_polynomial(QQ, 4)
+    yield "block_upper((2, 1))", block_upper((2, 1))
+    yield "charp_truncated(5)", charp_truncated(5)[0]
+    for name, base in (("upper_2x2", upper_2x2), ("strictly_upper_3x3", strictly_upper_3x3),
+                       ("full_matrix(3)", lambda: full_matrix(3)),
+                       ("truncated_polynomial(QQ, 4)", lambda: truncated_polynomial(QQ, 4))):
+        yield f"conjugate of {name}", random_conjugate(base(), rng)
+
+
+@pytest.mark.parametrize("name, A", list(_reference_algebras()),
+                         ids=[name for name, _ in _reference_algebras()])
+def test_derivation_space_matches_reference(name, A):
+    """The grouped Leibniz walk into dense integer rows, handed to the
+    elimination without a numerator scan, gives the basis that the
+    per-term walk and the public `nullspace` give, entry types included."""
+    basis = derivation_space(A)
+    expected = reference.derivation_space(A)
+    assert [_typed(B) for B in basis] == [_typed(B) for B in expected]
+    if name == "square_zero(2)":
+        assert len(basis) == 4  # every linear map is a derivation
+
+
+def _inner_derivation_cases():
+    """(algebra, u): Fraction and int-tuple u over QQ, u over ZZ and over
+    GF(p), unreduced entries included, and u on conjugates."""
+    rng = random.Random(20261021)
+    A = upper_2x2()
+    yield A, (Fraction(1, 2), Fraction(-3), Fraction(2, 3))
+    yield A, (3, -1, 2)
+    yield strictly_upper_3x3(), (Fraction(5, 7), Fraction(0), Fraction(-1, 4))
+    yield strictly_upper_3x3(), (1, 2, 3)
+    yield block_upper((2, 1)), tuple(rng.randint(-3, 3) for _ in range(7))
+    for ring_A in (strictly_upper_3x3(ZZ), block_upper((2, 1), ZZ), strictly_upper(4, ZZ)):
+        yield ring_A, tuple(rng.randint(-5, 5) for _ in range(ring_A.rank))
+    for ring_A in (charp_truncated(5)[0], block_upper((2, 1), GF(3)), strictly_upper_3x3(GF(7))):
+        p = ring_A.ring.p
+        yield ring_A, tuple(rng.randrange(p) for _ in range(ring_A.rank))
+        yield ring_A, tuple(rng.randint(-2 * p, 2 * p) for _ in range(ring_A.rank))
+    for base in (upper_2x2(), truncated_polynomial(QQ, 4), full_matrix(3)):
+        C = random_conjugate(base, rng)
+        yield C, random_element(C, rng)
+        yield C, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(C.rank))
+        yield C, tuple(rng.randint(-3, 3) for _ in range(C.rank))
+
+
+@pytest.mark.parametrize("A, u", list(_inner_derivation_cases()))
+def test_inner_derivation_matches_reference(A, u):
+    """One pass over the integer structure constants gives the matrix that
+    the columns u e_j - e_j u built with `mul` and `sub` give, with the same
+    entry types (Fractions over QQ, ints reduced mod p over GF(p))."""
+    D = inner_derivation(A, u)
+    assert _typed(D.matrix) == _typed(reference.inner_derivation(A, u).matrix)
+    verify_leibniz(A, D.matrix)
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_inner_derivation_refuses_wrong_length(length):
+    A = strictly_upper_3x3()
+    with pytest.raises(RankMismatch):
+        inner_derivation(A, (QQ.one,) * length)
 
 # --- integer coefficient subspaces -------------------------------------------
 

@@ -29,7 +29,8 @@ from orelab.catalog import (
     upper_2x2,
     vanishing_identity,
 )
-from orelab.errors import BudgetExceeded, ExponentTooLarge, IdentityFails, NotNilpotent
+from orelab.errors import (BudgetExceeded, ExponentTooLarge, IdentityFails, NotNilpotent,
+                           RankMismatch)
 from orelab.orepoly import (
     CanonicalTerm,
     DiffPoly,
@@ -445,6 +446,23 @@ def test_products_refuse_malformed_factors(product, head, idx, exps, message):
     with pytest.raises(ValueError, match=message):
         product(A, D, gens, head, idx, exps)
 
+
+
+@pytest.mark.parametrize("product", [
+    lambda A, D, gens, head, idx, exps: direct_product(A, D, gens, head, idx, exps),
+    lambda A, D, gens, head, idx, exps: rewrite_product(A, D, gens, head, idx, exps, 5),
+], ids=["direct", "rewrite"])
+@pytest.mark.parametrize("bad", [(QQ.one,) * 2, (QQ.one,) * 4, ()], ids=["short", "long", "empty"])
+def test_products_refuse_a_malformed_unused_generator(product, bad):
+    """Every generator must have the algebra's rank, also one that the
+    product does not read; the ones it reads may be lists."""
+    A = strictly_upper_3x3()  # generators e12, e13, e23
+    D = inner_derivation(A, A.basis_element(0))
+    gens = [list(A.basis_element(0)), list(A.basis_element(2))]
+    expected = product(A, D, [A.basis_element(0), A.basis_element(2)], 0, [1], (1, 0))
+    assert product(A, D, gens, 0, [1], (1, 0)) == expected
+    with pytest.raises(RankMismatch):
+        product(A, D, gens + [bad], 0, [1], (1, 0))
 
 def _integer_field_cases():
     """(product, field, bad value -> call arguments) for each integer
