@@ -15,12 +15,12 @@ CMP_GREATER = 1
 CMP_INCOMPARABLE = 2
 
 # Words of at least this many letters are long: b_bounded scans them by
-# the byte path, and the word layer memoises on the Word their weight,
-# their boundedness code per bound sequence and, when they hold at most 256
-# distinct letters, one rank code (`rank_code`) that the weight and the
-# byte path share. A shorter word keeps only the code of its last
-# boundedness ask: the oracle's and the Ore layer's words are mostly asked
-# once, so any more memo would only add to their cost.
+# the byte path, and the word layer memoises on the Word their weight and,
+# when they hold at most 256 distinct letters, one rank code (`rank_code`)
+# that the weight and the byte path share. Every word, long or short, keeps
+# its boundedness code per bound sequence. A shorter word is weighed afresh
+# on each ask: the Ore layer's words are mostly weighed once, so a weight
+# memo would only add to their cost.
 LONG_WORD = 64
 
 

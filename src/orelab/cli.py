@@ -39,7 +39,7 @@ from .radical import (
     is_nil_ideal,
     radical_char0,
 )
-from .rings import is_digits, parse_int
+from .rings import _ASCII_SPACE, QQ, is_digits, parse_int
 from .words import (
     BoundSequence,
     Word,
@@ -69,7 +69,7 @@ def _int_option(text: str) -> int:
 
 
 def _parse_word(text: str) -> Word:
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip(_ASCII_SPACE) for p in text.split(",")]
     letters = []
     for i, p in enumerate(parts):
         if not is_digits(p):
@@ -83,7 +83,7 @@ def _parse_word(text: str) -> Word:
 
 
 def _parse_bounds(text: str, tail: bool) -> BoundSequence:
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip(_ASCII_SPACE) for p in text.split(",")]
     vals = []
     for i, p in enumerate(parts):
         if not is_digits(p) or int(p) < 1:
@@ -95,7 +95,7 @@ def _parse_bounds(text: str, tail: bool) -> BoundSequence:
 
 
 def _parse_eps(text: str) -> Fraction:
-    t = text.strip()
+    t = text.strip(_ASCII_SPACE)
     try:
         if "/" in t:
             num, den = t.split("/", 1)
@@ -111,7 +111,7 @@ def _parse_eps(text: str) -> Fraction:
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     out = []
-    for i, p in enumerate(t.strip() for t in text.split(",")):
+    for i, p in enumerate(t.strip(_ASCII_SPACE) for t in text.split(",")):
         if not is_digits(p.removeprefix("-")):
             raise CliInputError(f"cannot parse {what}: item {i + 1} ({p!r})")
         out.append(int(p))
@@ -119,7 +119,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _basis_index(A: Algebra, name: str) -> int:
-    name = name.strip()
+    name = name.strip(_ASCII_SPACE)
     if name in A.basis_names:
         return A.basis_names.index(name)
     if is_digits(name) and int(name) < A.rank:
@@ -130,7 +130,7 @@ def _basis_index(A: Algebra, name: str) -> int:
 def _parse_poly(A: Algebra, text: str) -> DiffPoly:
     """One polynomial: terms joined by +/-, each term a '*'-product of an
     optional exact coefficient, a basis name, and an optional x power."""
-    text = text.strip()
+    text = text.strip(_ASCII_SPACE)
     if not text:
         raise CliInputError("empty polynomial")
     # split into signed terms
@@ -139,7 +139,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
     for ch in text:
         if ch in "+-":
             if cur:
-                terms.append((sign, "".join(cur).strip()))
+                terms.append((sign, "".join(cur).strip(_ASCII_SPACE)))
                 cur = []
                 sign = 1
             if ch == "-":
@@ -147,7 +147,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
         else:
             cur.append(ch)
     if cur:
-        terms.append((sign, "".join(cur).strip()))
+        terms.append((sign, "".join(cur).strip(_ASCII_SPACE)))
     coeffs: dict[int, object] = {}
     ring = A.ring
     for sign, term in terms:
@@ -156,7 +156,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
         coeff = ring.one
         name_idx = None
         xpow = 0
-        for part in (p.strip() for p in term.split("*")):
+        for part in (p.strip(_ASCII_SPACE) for p in term.split("*")):
             if not part:
                 raise CliInputError(f"empty factor in term {term!r}")
             if part == "x" or (part.startswith("x^") and is_digits(part[2:])):
@@ -186,7 +186,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
 
 
 def _parse_set(A: Algebra, text: str) -> list[DiffPoly]:
-    polys = [p for p in (s.strip() for s in text.split(";")) if p]
+    polys = [p for p in (s.strip(_ASCII_SPACE) for s in text.split(";")) if p]
     if not polys:
         raise CliInputError("empty polynomial set")
     return [_parse_poly(A, p) for p in polys]
@@ -196,10 +196,10 @@ def _parse_candidate(A: Algebra, text: str):
     """Subspace candidate: basis names 'e12,e13' or coordinate vectors
     '0,1,0;0,0,1'."""
     vectors = []
-    for chunk in (c.strip() for c in text.split(";")):
+    for chunk in (c.strip(_ASCII_SPACE) for c in text.split(";")):
         if not chunk:
             continue
-        parts = [p.strip() for p in chunk.split(",")]
+        parts = [p.strip(_ASCII_SPACE) for p in chunk.split(",")]
         if all(p in A.basis_names for p in parts):
             for p in parts:
                 vectors.append(A.basis_element(A.basis_names.index(p)))
@@ -262,10 +262,6 @@ class Report:
                 out.write(f"{k} = {v}\n")
 
 
-def _fmt_eps(eps: Fraction) -> str:
-    return f"{eps.numerator}/{eps.denominator}" if eps.denominator != 1 else str(eps.numerator)
-
-
 # --- subcommands --------------------------------------------------------
 
 
@@ -305,7 +301,7 @@ def cmd_words_bounds(args) -> int:
     params = {
         "d": args.d,
         "k": args.k,
-        "eps": _fmt_eps(eps),
+        "eps": QQ.fmt(eps),
         "b": args.b,
         "tail": args.tail,
         "oracle": " ".join(map(str, args.oracle)) if args.oracle else None,

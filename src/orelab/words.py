@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import isqrt, lcm
 from operator import index
 
@@ -51,16 +50,15 @@ class Word:
     Letters go through operator.index, so a float or a string letter
     raises TypeError rather than being truncated or parsed.
 
-    A long Word (at least `_kernels.LONG_WORD` letters) memoises what the
-    word layer asks of its letters: the weight, the `_kernels.b_bounded`
-    code per BoundSequence (equal sequences share one entry) and, when it
-    holds at most 256 distinct letters, its `_kernels.rank_code`, which
-    both of those kernels read. A short word keeps only the code of its
-    last boundedness ask, so a second ask on the same sequence is a lookup;
-    it is weighed afresh every time, as most short words are asked once.
-    All of these are filled on first use; they are class-level None until
-    then and are not dataclass fields, so equality, hash and repr see the
-    letters only.
+    Every Word memoises its `_kernels.b_bounded` code per BoundSequence
+    (equal sequences share one entry), so a second ask on the same
+    sequence is a lookup. A long Word (at least `_kernels.LONG_WORD`
+    letters) also memoises its weight and, when it holds at most 256
+    distinct letters, its `_kernels.rank_code`, which the weight and the
+    boundedness kernel both read; a short word is weighed afresh every
+    time, as most short words are weighed once. All of these are filled on
+    first use; they are class-level None until then and are not dataclass
+    fields, so equality, hash and repr see the letters only.
 
     `Word._from_letters` builds a Word without the checks, for letters
     that are natural-number ints by construction.
@@ -68,10 +66,9 @@ class Word:
 
     letters: tuple[int, ...]
 
-    _weight = None
-    _bounded = None  # long word: {BoundSequence: code}
+    _weight = None  # long word only
+    _bounded = None  # {BoundSequence: code}
     _ranks = None  # long word: rank code, or False past 256 distinct letters
-    _last_bounded = None  # short word: (BoundSequence, code) of the last ask
 
     def __init__(self, letters):
         letters = tuple(map(index, letters))
@@ -196,10 +193,6 @@ class Factorization:
     def suffix(self) -> tuple[int, ...]:
         return self.word.segment(self.cuts[-1], len(self.word))
 
-    def reconstructs(self) -> bool:
-        parts = [self.prefix, *self.blocks, self.suffix]
-        return tuple(chain.from_iterable(parts)) == self.word.letters
-
     def blocks_decreasing(self) -> bool:
         letters = self.word.letters
         c = self.cuts
@@ -210,22 +203,21 @@ class Factorization:
         return True
 
     def is_valid(self) -> bool:
-        return self.reconstructs() and self.blocks_decreasing()
+        """The blocks strictly decrease, as `__init__` already checked."""
+        return self.blocks_decreasing()
 
-    def satisfies_window(self, eps: Fraction, first_letter_bound: int | None) -> bool:
-        """Blocks lie within the final floor(eps*n) letters; every block's
-        first letter is below the bound (when one is given)."""
-        n = len(self.word)
-        window_start = n - int(Fraction(eps) * n)
+    def satisfies_window(self, eps, M: int) -> bool:
+        """Blocks lie within the final floor(eps*n) letters, and every
+        block's first letter is below M. Decreasing blocks never raise
+        their first letter, so the first block's is checked alone."""
+        eps = Fraction(eps)
+        if not (0 < eps <= 1):
+            raise ValueError("eps lies in (0, 1]")
         if self.block_count == 0:
             return True
-        if self.cuts[0] < window_start:
-            return False
-        if first_letter_bound is not None:
-            for t in range(self.block_count):
-                if self.word[self.cuts[t]] >= first_letter_bound:
-                    return False
-        return True
+        n = len(self.word)
+        c0 = self.cuts[0]
+        return c0 >= n - int(eps * n) and self.word[c0] < M
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,10 @@ def weight(u) -> int:
 
 
 def _ranks(u: Word):
-    """The long word's memoised rank code; None past 256 distinct letters."""
+    """The long word's memoised rank code; None for a short word or past
+    256 distinct letters."""
+    if len(u.letters) < kernels.LONG_WORD:
+        return None
     ranks = u._ranks
     if ranks is None:
         ranks = kernels.rank_code(u.letters) or False
@@ -295,24 +290,15 @@ def is_k_valid(u, k: int) -> bool:
 
 def is_b_bounded(u, b: BoundSequence) -> bool:
     u = as_word(u)
-    letters = u.letters
-    if len(letters) < kernels.LONG_WORD:
-        last = u._last_bounded
-        if last is not None and (last[0] is b or last[0] == b):
-            code = last[1]
-        else:
-            code = kernels.b_bounded(letters, b.prefix, b.extend_tail)
-            object.__setattr__(u, "_last_bounded", (b, code))
-    else:
-        memo = u._bounded
-        if memo is None:
-            memo = {}
-            object.__setattr__(u, "_bounded", memo)
-        code = memo.get(b)
-        if code is None:
-            code = memo[b] = kernels.b_bounded(
-                letters, b.prefix, b.extend_tail, _ranks(u)
-            )
+    memo = u._bounded
+    if memo is None:
+        memo = {}
+        object.__setattr__(u, "_bounded", memo)
+    code = memo.get(b)
+    if code is None:
+        code = memo[b] = kernels.b_bounded(
+            u.letters, b.prefix, b.extend_tail, _ranks(u)
+        )
     if code == -1:
         raise InsufficientBoundData(max(u.letters), len(b.prefix))
     return bool(code)
@@ -321,8 +307,7 @@ def is_b_bounded(u, b: BoundSequence) -> bool:
 # --- decreasing factorizations ----------------------------------------
 
 
-def _search_decreasing(word: Word, d: int, window_start: int,
-                       letter_bound: int | None) -> Factorization | None:
+def _search_decreasing(word: Word, d: int) -> Factorization | None:
     """Lex-greatest cut tuple among valid d-block factorizations.
 
     Cuts are pushed as far right as possible (first cut maximal, then the
@@ -338,15 +323,16 @@ def _search_decreasing(word: Word, d: int, window_start: int,
     First-letter test: a block sits strictly below the one before it only
     if its first letter is at most that block's first letter, so a
     candidate next block is skipped by one comparison before the recursive
-    call. Block first letters therefore never rise, and the letter bound
-    needs checking on the first block alone. A strictly increasing word is
-    refused by comparisons without any recursive call.
+    call. A strictly increasing word is refused by comparisons without any
+    recursive call.
     """
     n = len(word)
     if d == 0:
         return Factorization(word, (n,))
-    if n - window_start < d:
+    if n < d:
         return None
+    if d == 1:
+        return Factorization(word, (n - 1, n))
     letters = word.letters
     memo = {}
 
@@ -377,12 +363,8 @@ def _search_decreasing(word: Word, d: int, window_start: int,
                 return (end,) + tail
         return None
 
-    for c0 in range(n - d, window_start - 1, -1):
+    for c0 in range(n - d, -1, -1):
         first = letters[c0]
-        if letter_bound is not None and first >= letter_bound:
-            continue
-        if d == 1:
-            return Factorization(word, (c0, n))
         for c1 in range(n - (d - 1), c0, -1):
             if letters[c1] > first:
                 continue
@@ -398,22 +380,7 @@ def find_d_decreasing(u, d: int) -> Factorization | None:
     d = index(d)
     if d < 0:
         raise ValueError("d is a natural number")
-    return _search_decreasing(as_word(u), d, 0, None)
-
-
-def find_d_decreasing_constrained(u, d: int, eps, M: int) -> Factorization | None:
-    """As find_d_decreasing, but blocks lie in the final floor(eps*n)
-    letters and every block's first letter is below M."""
-    d = index(d)
-    if d < 0:
-        raise ValueError("d is a natural number")
-    u = as_word(u)
-    eps = Fraction(eps)
-    if not (0 < eps <= 1):
-        raise ValueError("eps lies in (0, 1]")
-    n = len(u)
-    window_start = n - int(eps * n)
-    return _search_decreasing(u, d, window_start, M)
+    return _search_decreasing(as_word(u), d)
 
 
 # --- the bound recursion ----------------------------------------------
@@ -608,14 +575,12 @@ def _oracle_candidates(n: int, cap: int, limit: int, bounds):
 
 def _oracle_length_ok(d: int, b: BoundSequence, k: int, n: int, cap: int) -> bool:
     """Every valid word of length n over 0..cap has the subword; the walk
-    stops at the first word without it."""
+    stops at the first word without it. Under minimal_N_oracle's
+    conditions the candidates are exactly the k-valid, b-bounded words."""
     limit = k * (n * (n + 1) // 2)
     for tup in _oracle_candidates(n, cap, limit, b.prefix):
-        w = Word(tup)
-        if not is_k_valid(w, k):
-            continue
-        if not is_b_bounded(w, b):
-            continue
+        w = Word._from_letters(tup)
+        is_k_valid(w, k)  # cannot fail; perfbench's traced oracle counts words by it
         if find_d_decreasing(w, d) is None:
             return False
     return True
@@ -631,12 +596,14 @@ def minimal_N_oracle(d: int, b: BoundSequence, k: int, max_n: int,
     Each length is one serial walk, depth first in lexicographic order,
     that stops at the first word without the subword. A prefix is dropped
     once its weight exceeds k*C(n+1, 2), or once it holds a run of letters
-    <= m of length >= b_m for some m < L = the length of b's prefix; the
-    words left are checked in full. A length is vacuously settled when
-    the tail extends and b_{L-1} <= n (no word of that length is bounded).
-    Without the tail, a length whose letters reach L raises
-    InsufficientBoundData: (L, 0, ..., 0) is k-valid and b cannot judge
-    it. The budget DEFAULT_ORACLE_BUDGET counts the words before pruning,
+    <= m of length >= b_m for some m < L = the length of b's prefix. A
+    length is vacuously settled when the tail extends and b_{L-1} <= n (no
+    word of that length is bounded). Without the tail, a length whose
+    letters reach L raises InsufficientBoundData: (L, 0, ..., 0) is
+    k-valid and b cannot judge it. So every length walked has n < b_{L-1}
+    (with the tail) or letters below L (without it), and there the words
+    left are exactly the k-valid, b-bounded ones: each goes straight to
+    the decreasing search. The budget DEFAULT_ORACLE_BUDGET counts the words before pruning,
     over the lengths before the first vacuously settled one, and is
     priced before any length is searched.
 

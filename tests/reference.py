@@ -4,8 +4,10 @@ the library's fast paths are checked against."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from itertools import accumulate, groupby, permutations
 from math import comb
+from operator import index
 
 from orelab import orepoly
 from orelab.algebra import Algebra, Derivation
@@ -13,7 +15,7 @@ from orelab.errors import BudgetExceeded, ExponentTooLarge, OrelabError
 from orelab.linalg import nullspace
 from orelab.orepoly import CanonicalTerm, DiffPoly, ore_multiply
 from orelab.rings import _from_numerators, _numerators
-from orelab.words import Word, as_word
+from orelab.words import Factorization, Word, as_word
 
 DEFAULT_FACTORIAL_CAP = 8
 
@@ -56,6 +58,72 @@ def oracle_candidates_bruteforce(n: int, cap: int, limit: int, bounds):
         ):
             continue
         yield u
+
+
+def find_d_decreasing_constrained(u, d: int, eps, M: int) -> Factorization | None:
+    """As words.find_d_decreasing, but blocks lie in the final
+    floor(eps*n) letters and every block's first letter is below M."""
+    d = index(d)
+    if d < 0:
+        raise ValueError("d is a natural number")
+    u = as_word(u)
+    eps = Fraction(eps)
+    if not (0 < eps <= 1):
+        raise ValueError("eps lies in (0, 1]")
+    n = len(u)
+    return _search_decreasing_windowed(u, d, n - int(eps * n), M)
+
+
+def _search_decreasing_windowed(word: Word, d: int, window_start: int,
+                                letter_bound: int) -> Factorization | None:
+    """words._search_decreasing with a window and a first-letter bound:
+    the lex-greatest cut tuple whose first cut is at least window_start
+    and whose first block starts below letter_bound. Block first letters
+    never rise, so the bound needs checking on the first block alone."""
+    n = len(word)
+    if d == 0:
+        return Factorization(word, (n,))
+    if n - window_start < d:
+        return None
+    letters = word.letters
+    memo = {}
+
+    def best_tail(plo: int, phi: int, rem: int):
+        top = min(phi - plo, n - phi)
+        l = 0
+        while l < top and letters[phi + l] == letters[plo + l]:
+            l += 1
+        if l == top or letters[phi + l] > letters[plo + l]:
+            return None
+        if rem == 1:
+            return (n,)
+        first = letters[phi]
+        rem -= 1
+        for end in range(n - rem, phi + l, -1):
+            if letters[end] > first:
+                continue
+            key = (phi, end, rem)
+            if key in memo:
+                tail = memo[key]
+            else:
+                tail = memo[key] = best_tail(phi, end, rem)
+            if tail is not None:
+                return (end,) + tail
+        return None
+
+    for c0 in range(n - d, window_start - 1, -1):
+        first = letters[c0]
+        if first >= letter_bound:
+            continue
+        if d == 1:
+            return Factorization(word, (c0, n))
+        for c1 in range(n - (d - 1), c0, -1):
+            if letters[c1] > first:
+                continue
+            tail = best_tail(c0, c1, d - 1)
+            if tail is not None:
+                return Factorization(word, (c0, c1) + tail)
+    return None
 
 
 # --- algebras: element helpers and the unitalization ---------------------

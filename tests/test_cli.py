@@ -96,6 +96,16 @@ def test_words_analyze_refuses_non_ascii_digits(word, bad):
      "argument --cap: invalid int value: '1_0'", 0),
     (("examples", "charp", "--p", "\u0663", "--dir", "DIR"),
      "argument --p: invalid int value: '\u0663'", 0),
+    # items strip ASCII whitespace only, not an EM SPACE
+    (("words-analyze", "1,\u20032", "--b", "2,3"), "cannot parse word: item 2 ('\\u20032')", 0),
+    (("words-analyze", "1,2", "--b", "2,\u20033"),
+     "cannot parse bound prefix: item 2 ('\\u20033')", 0),
+    (("ore-rewrite", "FILE", "--head", "e12", "--indices", "e23",
+      "--exponents", "0,\u20031", "--k", "1"), "cannot parse exponents: item 2 ('\\u20031')", 0),
+    (("radical-check", "FILE", "--candidate", "0,\u20031,0"),
+     "cannot parse exact value '\\u20031'", 0),
+    (("words-bounds", "--d", "1", "--k", "1", "--b", "2", "--eps", "\u20031/2"),
+     "cannot parse rational '\\u20031/2'", 0),
 ])
 def test_integer_fields_take_ascii_digits_only(args, message, ascii_code, tmp_path, capsys):
     from orelab import cli
@@ -108,9 +118,10 @@ def test_integer_fields_take_ascii_digits_only(args, message, ascii_code, tmp_pa
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
-    # the same fields still take ASCII digits
+    # the same fields still take ASCII digits and ASCII whitespace
     ascii_argv = [a.replace("\u0663", "3").replace("\u00b9", "1").replace("\u00b2", "2")
-                  .replace("\u0661", "1").replace("1_0", "10") for a in argv]
+                  .replace("\u0661", "1").replace("1_0", "10").replace("\u2003", " ")
+                  for a in argv]
     assert cli.main(ascii_argv) == ascii_code
     assert message not in capsys.readouterr().err
 

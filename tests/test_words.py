@@ -27,7 +27,6 @@ from orelab.words import (
     compare,
     compute_bounds,
     find_d_decreasing,
-    find_d_decreasing_constrained,
     is_b_bounded,
     is_k_valid,
     minimal_N_oracle,
@@ -36,6 +35,7 @@ from orelab.words import (
 )
 from reference import (
     FactorialCapExceeded,
+    find_d_decreasing_constrained,
     oracle_candidates_bruteforce,
     weight_bruteforce,
 )
@@ -410,6 +410,25 @@ def test_constrained_output_satisfies_predicate(u, d, eps, M):
         assert f.satisfies_window(eps, M)
 
 
+def test_satisfies_window_refuses_eps_outside_unit_interval():
+    f = find_d_decreasing((9, 9, 3, 2, 1), 2)
+    assert f.satisfies_window(1, 4) and f.satisfies_window(Fraction(3, 5), 4)
+    for eps in (2, -1, 0, Fraction(6, 5)):
+        with pytest.raises(ValueError, match=re.escape("eps lies in (0, 1]")):
+            f.satisfies_window(eps, 4)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=7).map(tuple), st.integers(0, 3),
+       st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8),
+       st.integers(0, 4))
+def test_satisfies_window_matches_every_block_check(u, d, eps, M):
+    # the first block's first letter stands for every block's
+    n = len(u)
+    for f in _all_factorizations(Word(u), d):
+        expected = all(c >= n - int(eps * n) and u[c] < M for c in f.cuts[:-1])
+        assert f.satisfies_window(eps, M) == expected
+
+
 def _end_by_end_search(letters, d, window_start, letter_bound):
     """Reference cut tuple: compares the block at every candidate end."""
     n = len(letters)
@@ -605,7 +624,7 @@ def test_witness_path_builds_one_rank_code(monkeypatch):
 @pytest.mark.parametrize("k, eps, n", [(1, Fraction(1), 20), (2, Fraction(1, 2), 38)])
 def test_short_witness_path_scans_the_word_once(monkeypatch, k, eps, n):
     """A d = 1 word is short; the witness's boundedness check on the
-    caller's b reads the word's one-slot memo."""
+    caller's b reads the word's boundedness memo."""
     probe = compute_bounds(1, arithmetic_bounds(4096), k, eps)
     b = arithmetic_bounds(max(probe.N, max(lev.M1 for lev in probe.trace) + 2))
     bounds = compute_bounds(1, b, k, eps)
@@ -619,8 +638,9 @@ def test_short_witness_path_scans_the_word_once(monkeypatch, k, eps, n):
     assert calls == {"b_bounded": 5}
 
 
-def test_short_word_slot_follows_alternating_bound_sequences(monkeypatch):
+def test_short_word_memo_keeps_alternating_bound_sequences(monkeypatch):
     u = Word((0, 1, 0, 1) * 5)
+    assert len(u) < _kernels.LONG_WORD
     loose, tight = BoundSequence((2, 21)), BoundSequence((2, 4))
     blind = BoundSequence((2,), extend_tail=False)  # cannot judge the letter 1
     calls = _count_kernel_calls(monkeypatch, ("b_bounded",))
@@ -629,13 +649,13 @@ def test_short_word_slot_follows_alternating_bound_sequences(monkeypatch):
         assert not is_b_bounded(u, tight)
         with pytest.raises(InsufficientBoundData):
             is_b_bounded(u, blind)
-    assert calls == {"b_bounded": 9}  # each ask replaced the slot
+    assert calls == {"b_bounded": 3}  # one scan per sequence, then lookups
     twin = BoundSequence(blind.prefix, extend_tail=False)
     for _ in range(2):
         with pytest.raises(InsufficientBoundData):
             is_b_bounded(u, twin)
     assert not is_b_bounded(u, tight) and not is_b_bounded(u, tight)
-    assert calls == {"b_bounded": 10}  # an equal sequence hits the slot
+    assert calls == {"b_bounded": 3}  # an equal sequence shares the entry
 
 
 def test_sampled_word_is_an_ordinary_word():
@@ -790,6 +810,30 @@ def test_oracle_candidates_match_bruteforce():
             assert all(is_k_valid(u, k) for u in got)
             seen_full += len(got)
     assert seen_vacuous and seen_full
+
+
+def test_oracle_candidates_are_the_valid_bounded_words():
+    """Under minimal_N_oracle's conditions (with the tail, n < b_{L-1};
+    without it, every letter below L) the walk at limit k*C(n+1, 2) yields
+    exactly the k-valid, b-bounded words, so the oracle need not re-check
+    boundedness."""
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(300):
+        tail = rng.random() < 0.5
+        prefix = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 6)))
+        n, cap = rng.randint(1, 6), rng.randint(0, 5)
+        if tail and n >= prefix[-1] or not tail and cap >= len(prefix):
+            continue
+        b, k = BoundSequence(prefix, extend_tail=tail), rng.randint(1, 2)
+        cap = min(cap, k * (n * (n + 1) // 2))
+        got = list(_oracle_candidates(n, cap, k * (n * (n + 1) // 2), b.prefix))
+        expected = [u for u in itertools.product(range(cap + 1), repeat=n)
+                    if is_k_valid(u, k) and is_b_bounded(u, b)]
+        assert got == expected, (prefix, tail, n, cap, k)
+        seen[tail, bool(got)] += 1
+    # both tail settings, each with and without surviving words
+    assert len(seen) == 4
 
 
 def _oracle_bruteforce(d, b, k, max_n, max_letter):
