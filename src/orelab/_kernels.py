@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain
+from operator import le
 
 CMP_EQUAL = 0
 CMP_LESS = -1
@@ -17,10 +18,11 @@ CMP_INCOMPARABLE = 2
 # Words of at least this many letters are long: b_bounded scans them by
 # the byte path, and the word layer memoises on the Word their weight and,
 # when they hold at most 256 distinct letters, one rank code (`rank_code`)
-# that the weight and the byte path share. Every word, long or short, keeps
-# its boundedness code per bound sequence. A shorter word is weighed afresh
-# on each ask: the Ore layer's words are mostly weighed once, so a weight
-# memo would only add to their cost.
+# that the weight and the byte path share. The sampler builds a long
+# sample as its rank code, so that word never calls `rank_code`. Every
+# word, long or short, keeps its boundedness code per bound sequence. A
+# shorter word is weighed afresh on each ask: the Ore layer's words are
+# mostly weighed once, so a weight memo would only add to their cost.
 LONG_WORD = 64
 
 
@@ -94,7 +96,7 @@ def compare_ranges(letters, alo: int, ahi: int, blo: int, bhi: int) -> int:
     return CMP_EQUAL if la == lb else CMP_INCOMPARABLE
 
 
-def b_bounded(letters, prefix, extend_tail: bool, ranks=None) -> int:
+def b_bounded(letters, prefix, extend_tail: bool, ranks=None, floors=None) -> int:
     """Bounded-word check against b; 1 yes, 0 no, -1 undetermined entry.
 
     The word is bounded iff for every determined m, every window of
@@ -102,38 +104,47 @@ def b_bounded(letters, prefix, extend_tail: bool, ranks=None) -> int:
     letters <= m stays below b_m. Entries beyond the max letter force
     b_m > n. Determination is required for every m up to the max letter.
 
+    `floors` is the prefix's `suffix_minima` table, computed here when not
+    given. The entries beyond the max letter are checked first, as one
+    lookup in it; once they pass, each exceeds n and bounds no run.
+
     For m up to top = min(max letter, last prefix index) the runs are
     measured by one of two paths, chosen from the input alone. A word
     given with its `rank_code`, or of at least 64 letters whose letters
     <= top take at most 255 distinct values, goes through the byte path
     (`_runs_short_bytes`): C-level scans of one byte mask per distinct
-    letter. Every other word goes through the monotone-stack path
-    (`_runs_short_stack`): one Python pass over the letters, cheaper on
-    short words and the only one that serves wide alphabets. Both give the
-    same answer on every input.
+    letter, each against one suffix minimum. Every other word goes
+    through the monotone-stack path (`_runs_short_stack`): one Python
+    pass over the letters, cheaper on short words and the only one that
+    serves wide alphabets. Both give the same answer on every input.
     """
     n = len(letters)
     mx = max(letters) if ranks is None else ranks[0][-1]
     L = len(prefix)
     if not extend_tail and L <= mx:
         return -1
+    if floors is None:
+        floors = suffix_minima(prefix)
+    # for m >= mx the whole word is one run of letters <= m, so b_m must
+    # exceed n; with the tail that takes in every m >= L through b_{L-1}
+    if floors[min(mx + 1, L - 1)] <= n:
+        return 0
     top = mx if mx < L - 1 else L - 1
     if ranks is not None or n >= LONG_WORD:
-        short = _runs_short_bytes(letters, prefix, top, ranks)
+        short = _runs_short_bytes(letters, floors, top, ranks)
     else:
         short = None
     if short is None:
         short = _runs_short_stack(letters, prefix, top)
-    if not short:
-        return 0
-    # for m > mx the whole word is one run of letters <= m, so b_m must
-    # exceed n; with the tail that takes in every m >= L through b_{L-1}
-    for m in range(mx + 1, L):
-        if prefix[m] <= n:
-            return 0
-    if extend_tail and prefix[L - 1] <= n:
-        return 0
-    return 1
+    return 1 if short else 0
+
+
+def suffix_minima(prefix):
+    """The table floors[m] = min(prefix[m:]); a nondecreasing prefix is
+    its own table and comes back as it is."""
+    if all(map(le, prefix, prefix[1:])):
+        return prefix
+    return tuple(accumulate(reversed(prefix), min))[::-1]
 
 
 def _runs_short_stack(letters, prefix, top: int) -> bool:
@@ -171,20 +182,23 @@ def _runs_short_stack(letters, prefix, top: int) -> bool:
 _WALL = b"\x01"
 
 
-def _runs_short_bytes(letters, prefix, top: int, ranks=None) -> bool | None:
+def _runs_short_bytes(letters, floors, top: int, ranks=None) -> bool | None:
     """As `_runs_short_stack`, or None when no rank code is given and the
-    letters <= top take more than 255 distinct values.
+    letters <= top take more than 255 distinct values. `floors` is the
+    prefix's `suffix_minima` table, whose entries past top exceed n.
 
-    The longest run of letters <= m is the same for every m from one
-    distinct letter v up to the next, so v need only be checked against
-    B(v), the least b_m over that range. The word is read as bytes: the
-    given rank code, or else one built here (code i for the i-th distinct
-    letter <= top, one wall code for the rest). For each v a translate
-    gives a mask, 0 at letters <= v and 1 elsewhere, which must hold no
-    B(v) zeros in a row. Runs only grow with v, so v is skipped when a
-    higher letter's bound is no larger (or when B(v) > n). A mask with few
-    walls is split at them and its longest piece measured; a dense one is
-    searched for B(v) zeros.
+    The longest run of letters <= m only grows with m, so the runs pass
+    iff each distinct letter v <= top has its run below B(v) = floors[v],
+    the least b_m over m >= v: past top every entry exceeds n, so that is
+    the least over v <= m <= top or more than n. The word is read as
+    bytes: the given rank code, or else one built here (code i for the
+    i-th distinct letter <= top, one wall code for the rest). For each v
+    a translate gives a mask, 0 at letters <= v and 1 elsewhere, which
+    must hold no B(v) zeros in a row. A higher letter checked against
+    the same bound covers v, so v is skipped when B(v) equals the last
+    bound checked (or exceeds n). A mask with few walls is split at them
+    and its longest piece measured; a dense one is searched for B(v)
+    zeros.
     """
     n = len(letters)
     if ranks is None:
@@ -196,12 +210,9 @@ def _runs_short_bytes(letters, prefix, top: int, ranks=None) -> bool | None:
     else:
         vals, enc = ranks
         t = bisect_right(vals, top)
-    hi = top + 1
-    low = n + 1  # least B over the letters above v; no run exceeds n
+    low = n + 1  # the last bound checked; no run exceeds n
     for i in range(t - 1, -1, -1):
-        v = vals[i]
-        bv = min(prefix[v:hi])
-        hi = v
+        bv = floors[vals[i]]
         if bv >= low:
             continue
         low = bv

@@ -56,12 +56,15 @@ class Word:
     letters) also memoises its weight and, when it holds at most 256
     distinct letters, its `_kernels.rank_code`, which the weight and the
     boundedness kernel both read; a short word is weighed afresh every
-    time, as most short words are weighed once. All of these are filled on
-    first use; they are class-level None until then and are not dataclass
-    fields, so equality, hash and repr see the letters only.
+    time, as most short words are weighed once. These are filled on first
+    use, except that a long word sampled by `wordgen.random_valid_word`
+    comes with its rank code and its weight already set. They are
+    class-level None until filled and are not dataclass fields, so
+    equality, hash and repr see the letters only.
 
     `Word._from_letters` builds a Word without the checks, for letters
-    that are natural-number ints by construction.
+    that are natural-number ints by construction; `Word._from_code` builds
+    one from a rank code that it keeps.
     """
 
     letters: tuple[int, ...]
@@ -83,6 +86,14 @@ class Word:
         """A Word of a nonempty sequence of natural-number ints, unchecked."""
         u = object.__new__(cls)
         object.__setattr__(u, "letters", tuple(letters))
+        return u
+
+    @classmethod
+    def _from_code(cls, vals, enc) -> Word:
+        """A long Word of its `_kernels.rank_code` (vals, enc), unchecked,
+        with the code memoised."""
+        u = cls._from_letters(map(vals.__getitem__, enc))
+        object.__setattr__(u, "_ranks", (vals, enc))
         return u
 
     def __len__(self):
@@ -115,6 +126,7 @@ class BoundSequence:
     extend_tail: bool = True
 
     _hash = None
+    _floors = None  # `_kernels.suffix_minima` of the prefix
 
     def __init__(self, prefix, extend_tail: bool = True):
         prefix = tuple(map(index, prefix))
@@ -133,6 +145,16 @@ class BoundSequence:
             h = hash((self.prefix, self.extend_tail))
             object.__setattr__(self, "_hash", h)
         return h
+
+    @property
+    def floors(self) -> tuple[int, ...]:
+        """floors[m] = min(prefix[m:]), built once; a nondecreasing prefix
+        is its own table."""
+        f = self._floors
+        if f is None:
+            f = kernels.suffix_minima(self.prefix)
+            object.__setattr__(self, "_floors", f)
+        return f
 
     def determines(self, m: int) -> bool:
         return m < len(self.prefix) or self.extend_tail
@@ -297,7 +319,7 @@ def is_b_bounded(u, b: BoundSequence) -> bool:
     code = memo.get(b)
     if code is None:
         code = memo[b] = kernels.b_bounded(
-            u.letters, b.prefix, b.extend_tail, _ranks(u)
+            u.letters, b.prefix, b.extend_tail, _ranks(u), b.floors
         )
     if code == -1:
         raise InsufficientBoundData(max(u.letters), len(b.prefix))

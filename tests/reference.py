@@ -4,12 +4,16 @@ the library's fast paths are checked against."""
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, groupby, permutations
 from math import comb
-from operator import index
+from operator import add, index
 
 from orelab import orepoly
+from orelab._kernels import b_bounded
+from orelab._kernels import weight as kernel_weight
 from orelab.algebra import Algebra, Derivation
 from orelab.errors import BudgetExceeded, ExponentTooLarge, OrelabError
 from orelab.linalg import nullspace
@@ -58,6 +62,133 @@ def oracle_candidates_bruteforce(n: int, cap: int, limit: int, bounds):
         ):
             continue
         yield u
+
+
+# --- the word sampler as it was before long samples carried their code ---
+
+
+def _v2(i: int) -> int:
+    return (i & -i).bit_length() - 1
+
+
+def _ruler(i: int) -> int:
+    return (2 << _v2(i)) - 2
+
+
+def capped_demoted_reference(n: int) -> list[int]:
+    letters = [0] * (n + 1)
+    J = 0
+    while (1 << (J + 1)) <= n:
+        J += 1
+    for i in range(1, n + 1):
+        letters[i] = min(_ruler(i), n - 1)
+    for j in range(1, J):
+        g = 1 << j
+        p = n - (n % g)
+        if p <= 0 or _v2(p) != j:
+            continue
+        trail = n - p
+        newval = min((2 << j) - 2, max(trail + g - 1, g - 1))
+        if newval < letters[p]:
+            letters[p] = newval
+    top, half = 1 << J, 1 << (J - 1)
+    if n - top <= half - 1 and half >= 2:
+        letters[half] = n - 1
+        letters[top] = min(letters[top], max(n - half - 1, half - 1))
+    return letters[1:]
+
+
+def tail_capped_reference(n: int) -> list[int]:
+    letters = [0] * (n + 1)
+    for i in range(1, n + 1):
+        letters[i] = min(_ruler(i), 2 * (n - i) + 1, n - 1)
+    t = 0
+    while True:
+        val = min((1 << (t + 1)) - 1, n - 1)
+        i_t = n - (1 << t)
+        if i_t >= 1:
+            letters[i_t] = max(letters[i_t], val)
+        if val >= n - 1:
+            break
+        t += 1
+    mx = max(letters)
+    if mx < n - 1:
+        letters[letters.index(mx)] = n - 1
+    return letters[1:]
+
+
+def base_word_reference(n: int) -> list[int]:
+    """The base word of wordgen, one ruler letter per position: the
+    lighter layered one of the two families."""
+    if n == 1:
+        return [0]
+    cands = [
+        w for w in (capped_demoted_reference(n), tail_capped_reference(n))
+        if max(w) >= n - 1 and b_bounded(w, tuple(range(2, n + 2)), True) == 1
+    ]
+    if not cands:
+        raise ValueError(f"no base layered word of length {n}")
+    return min(cands, key=kernel_weight)
+
+
+@lru_cache(maxsize=32)
+def _layout_reference(n: int):
+    base = base_word_reference(n)
+    positions = array("i", sorted(range(n), key=base.__getitem__))
+    groups = []
+    start = 0
+    while start < n and base[positions[start]] < n - 1:
+        a = base[positions[start]]
+        end = start + 1
+        while end < n and base[positions[end]] == a:
+            end += 1
+        groups.append((start, end - start, n - end + 1))
+        start = end
+    full = kernel_weight([a + 1 if a < n - 1 else a for a in base])
+    return tuple(base), kernel_weight(base), full, positions, tuple(groups), start
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def random_valid_word_reference(n: int, k: int, rng) -> tuple[int, ...]:
+    """The letters wordgen.random_valid_word sampled before long samples
+    carried their rank code: the same draws, applied to a list of
+    letters."""
+    letters, w, full_weight, positions, groups, top = _layout_reference(n)
+    budget = k * (n * (n + 1) // 2)
+    if w > budget:
+        raise ValueError(f"base construction weighs {w} against budget {budget}")
+    if full_weight <= budget:
+        bits = rng.getrandbits(2 * n)
+        coins = bytearray(f"{bits | bits >> 1:0{2 * n}b}"[-1::-2].encode().translate(_BITS))
+        for i in positions[top:]:
+            coins[i] = 0
+        letters = list(map(add, letters, coins))
+    else:
+        slack = budget - w
+        state = [[start, size, size, cost, 0] for start, size, cost in groups]
+        live = [g for g in state if g[3] <= slack]
+        while live:
+            r = rng.randrange(sum(g[2] for g in live) << 2)
+            raise_it, r = r & 3, r >> 2
+            for g in live:
+                if r < g[2]:
+                    break
+                r -= g[2]
+            g[2] -= 1
+            if raise_it:
+                slack -= g[3]
+                g[3] += 1
+                g[4] += 1
+            live = [g for g in live if g[2] and g[3] <= slack]
+        letters = list(letters)
+        for start, size, _, _, raised in state:
+            for j in rng.sample(range(size), raised):
+                letters[positions[start + j]] += 1
+    if rng.random() < 0.5:
+        letters.reverse()
+    return tuple(letters)
 
 
 def find_d_decreasing_constrained(u, d: int, eps, M: int) -> Factorization | None:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import orelab
 from orelab import _kernels
 from orelab.wordgen import arithmetic_bounds, random_valid_word
-from orelab.words import Word, compute_bounds, weight
+from orelab.errors import InsufficientBoundData
+from orelab.words import BoundSequence, Word, compute_bounds, is_b_bounded, weight
 from reference import DEFAULT_FACTORIAL_CAP, weight_bruteforce
 
 letters_strategy = st.lists(st.integers(0, 40), min_size=1, max_size=60).map(tuple)
@@ -196,17 +197,59 @@ def _prefixes(letters, code, rng):
 
 
 def test_b_bounded_with_a_code_matches_the_stack_path(monkeypatch):
+    """The byte path, reading each B(v) from the suffix minima table, gives
+    the stack path's verdict on random and tight prefixes, non-monotone or
+    not, shorter and longer than the top letter, with and without the
+    tail, on every verdict and on failing tails."""
     monkeypatch.setattr(_kernels, "LONG_WORD", float("inf"))  # no code: the stack path
     rng = random.Random(7)
     verdicts = Counter()
     for letters in _random_words(rng, 300, 300):
         code = _kernels.rank_code(letters)
+        n, mx = len(letters), code[0][-1]
         for prefix in _prefixes(letters, code, rng):
+            floors = _kernels.suffix_minima(prefix)
+            assert list(floors) == [min(prefix[m:]) for m in range(len(prefix))]
             for tail in (True, False):
-                got = _kernels.b_bounded(letters, prefix, tail, code)
+                got = _kernels.b_bounded(letters, prefix, tail, code, floors)
                 assert got == _kernels.b_bounded(letters, prefix, tail), (letters, prefix, tail)
+                assert got == _kernels.b_bounded(letters, prefix, tail, code)
+                past = prefix[mx + 1:] + (prefix[-1:] if tail else ())
                 verdicts[got] += 1
+                verdicts["monotone" if floors is prefix else "non-monotone"] += 1
+                verdicts["short" if len(prefix) <= mx else "long"] += 1
+                if got != -1 and min(past, default=n + 1) <= n:
+                    assert got == 0
+                    verdicts["tail fails"] += 1
     assert min(verdicts[v] for v in (-1, 0, 1)) > 100
+    assert min(verdicts[v] for v in ("monotone", "non-monotone", "short", "long")) > 100
+    assert verdicts["tail fails"] > 100
+
+
+def test_equal_bound_sequences_share_their_verdicts():
+    # a non-monotone prefix gets its own table, a nondecreasing one is it
+    rng = random.Random(5)
+    seqs = [tuple(rng.randint(2, 120) for _ in range(rng.randint(1, 100))) for _ in range(40)]
+    seqs += [tuple(sorted(p)) for p in seqs]
+    verdicts = Counter()
+    for prefix in seqs:
+        for tail in (True, False):
+            one, two = BoundSequence(prefix, tail), BoundSequence(list(prefix), tail)
+            assert one == two and one is not two
+            assert one.floors == two.floors == _kernels.suffix_minima(prefix)
+            assert (one.floors is one.prefix) == (list(prefix) == sorted(prefix))
+            for _ in range(5):
+                letters = [rng.randrange(rng.choice((3, 30, 120))) for _ in range(rng.randint(1, 100))]
+                got = []
+                for b in (one, two):
+                    try:
+                        got.append(is_b_bounded(Word(letters), b))
+                    except InsufficientBoundData:
+                        got.append(None)
+                assert got[0] == got[1]
+                verdicts[got[0]] += 1
+                assert _kernels.b_bounded(letters, prefix, tail) == (-1 if got[0] is None else got[0])
+    assert min(verdicts[v] for v in (None, False, True)) > 50
 
 
 def test_b_bounded_code_serves_256_letters_below_top(monkeypatch):

@@ -14,9 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orelab import _kernels
+from orelab import _kernels, wordgen
 from orelab.errors import InsufficientBoundData, PreconditionViolated
-from orelab.wordgen import _base_word, arithmetic_bounds, random_valid_word
+from orelab.wordgen import (
+    _base_word,
+    _capped_demoted,
+    _layout,
+    _tail_capped,
+    arithmetic_bounds,
+    random_valid_word,
+)
 from orelab.words import (
     BoundSequence,
     BoundsResult,
@@ -35,8 +42,12 @@ from orelab.words import (
 )
 from reference import (
     FactorialCapExceeded,
+    base_word_reference,
+    capped_demoted_reference,
     find_d_decreasing_constrained,
     oracle_candidates_bruteforce,
+    random_valid_word_reference,
+    tail_capped_reference,
     weight_bruteforce,
 )
 
@@ -609,7 +620,8 @@ def test_witness_path_scans_the_word_once(monkeypatch):
 
 
 def test_witness_path_builds_one_rank_code(monkeypatch):
-    """The long word's weight and its byte scan read one rank code."""
+    """The long word's weight and its byte scan read one rank code, the
+    one the sampler built from its layout: `rank_code` is never called."""
     b = arithmetic_bounds(1172)
     bounds = compute_bounds(2, b, 1, 1)
     assert bounds.N == 1172
@@ -618,7 +630,8 @@ def test_witness_path_builds_one_rank_code(monkeypatch):
     u = random_valid_word(bounds.N, 1, random.Random(1))
     assert is_k_valid(u, 1) and is_b_bounded(u, b)
     assert decreasing_witness(u, 2, b, 1, 1, bounds=bounds).block_count == 2
-    assert calls == {"rank_code": 1, "weight": 1, "b_bounded": 1}
+    assert calls == {"weight": 1, "b_bounded": 1}
+    assert u._ranks == _kernels.rank_code(u.letters)
 
 
 @pytest.mark.parametrize("k, eps, n", [(1, Fraction(1), 20), (2, Fraction(1, 2), 38)])
@@ -925,6 +938,55 @@ def test_random_valid_word_is_valid(n, k, rng):
 def test_random_valid_word_rejects_short_lengths(n):
     with pytest.raises(ValueError, match=f"length must be at least 1, got {n}"):
         random_valid_word(n, 1, random.Random(0))
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_valid_word_rejects_k_below_one(n, k, monkeypatch):
+    # refused as is_k_valid refuses it, before any per-length work
+    def no_layout(n):
+        raise AssertionError("layout built for a refused k")
+
+    monkeypatch.setattr(wordgen, "_layout", no_layout)
+    with pytest.raises(ValueError, match="k is a positive integer"):
+        random_valid_word(n, k, random.Random(0))
+
+
+def test_base_words_match_the_per_position_ruler():
+    for n in [*range(1, 600), 1172, 2324, 9254, 18470]:
+        if n > 1:
+            assert _capped_demoted(n) == capped_demoted_reference(n), n
+            assert _tail_capped(n) == tail_capped_reference(n), n
+        assert _base_word(n) == base_word_reference(n), n
+
+
+@pytest.mark.parametrize("n", [64, 65, 200, 1172, 9254])
+def test_long_layout_codes_rise_with_their_letters(n):
+    lay = _layout(n)
+    assert [lay.vals[c] for c in lay.code] == list(lay.letters)
+    raisable = lay.mask.to_bytes(n, "little")
+    assert list(raisable) == [int(a < n - 1) for a in lay.letters]
+    assert all(lay.vals[c + 1] == a + 1 for c, a in zip(lay.code, lay.letters) if a < n - 1)
+
+
+def test_random_valid_word_matches_the_letter_sampler():
+    """Every sample is the letter-path sampler's, seed for seed, in both
+    regimes and both reflections; a long sample carries the rank code and
+    the weight of its letters, with no unused letter in the code."""
+    seen = Counter()
+    for n in (1, 2, 20, 38, 63, 64, 65, 200, 1172, 2324, 9254):
+        base = _base_word(n)
+        for k in (1, 2):
+            bulk = _layout(n).full_weight <= k * (n * (n + 1) // 2)
+            for seed in range(20):
+                u = random_valid_word(n, k, random.Random(seed))
+                assert u.letters == random_valid_word_reference(n, k, random.Random(seed))
+                if n >= _kernels.LONG_WORD:
+                    assert u._ranks == _kernels.rank_code(u.letters)
+                    assert u._weight == _kernels.weight(u.letters)
+                forward = all(0 <= a - b <= 1 for a, b in zip(u, base))
+                seen[n >= _kernels.LONG_WORD, bulk, forward] += 1
+    assert len(seen) == 8, seen  # long and short, both regimes, both reflections
 
 
 @pytest.mark.parametrize("n", [257, 513, 1025])
