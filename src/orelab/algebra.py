@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     AssociativityViolation,
@@ -230,16 +230,35 @@ class Derivation:
         # sparse integer rows ((b, c), ...) of the matrix scaled by the lcm
         # of its denominators
         den = lcm(*(c.denominator for row in self.matrix for c in row if c))
-        rows = tuple(
+        self._set_rows(tuple(
             tuple((b, c.numerator * (den // c.denominator)) for b, c in enumerate(row) if c)
             for row in self.matrix
-        )
+        ), den)
+
+    def _set_rows(self, rows, den: int):
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", rows)
         # (ring, element) -> [its numerator chain, whether it reached zero],
         # and id(element) -> (element, ring, that entry); see `_chain`
         object.__setattr__(self, "_chains", {})
         object.__setattr__(self, "_chain_ids", {})
+
+    @classmethod
+    def _from_int_rows(cls, ring: CoeffRing, acc, den: int) -> "Derivation":
+        """The derivation with the matrix acc / den for integer rows acc.
+        It holds the sparse integer rows that `__post_init__` builds from
+        that matrix, taken from acc instead of read back out of the ring
+        elements: acc / g over den / g over QQ, for g the gcd of den and
+        the entries, and the matrix itself over ZZ and GF(p)."""
+        D = object.__new__(cls)
+        matrix = tuple(_from_numerators(ring, row, den) for row in acc)
+        object.__setattr__(D, "matrix", matrix)
+        if ring.kind != CoeffRing.RATIONALS:
+            acc, den = matrix, 1
+        g = gcd(den, *[c for row in acc for c in row])
+        D._set_rows(tuple(tuple((b, c // g) for b, c in enumerate(row) if c) for row in acc),
+                    den // g)
+        return D
 
     def apply(self, ring: CoeffRing, x):
         self._check_length(x)
@@ -467,7 +486,8 @@ def inner_derivation(A: Algebra, u) -> Derivation:
     One pass over the integer rows of A with u's numerators: a structure
     constant e_s e_t = ... + c e_k adds u_s * c to entry (k, t), from
     u e_t, and takes u_t * c from entry (k, s), from e_s u. Each row of the
-    matrix becomes ring elements at once.
+    matrix becomes ring elements at once, and the derivation keeps the
+    integer rows it came from (`Derivation._from_int_rows`).
     """
     _check_operands(A, elements=(u,))
     r, ring = A.rank, A.ring
@@ -482,8 +502,7 @@ def inner_derivation(A: Algebra, u) -> Derivation:
                     out = acc[k]
                     out[t] += a * c
                     out[s] -= b * c
-    den *= A._den
-    return Derivation(tuple(_from_numerators(ring, row, den) for row in acc))
+    return Derivation._from_int_rows(ring, acc, den * A._den)
 
 
 def _identity_support(A: Algebra, d: int):

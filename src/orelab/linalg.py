@@ -16,25 +16,33 @@ the Leibniz residual of ``algebra.verify_leibniz`` and the matrix of
 
 A tall system over QQ or ZZ (at least twice as many distinct rows as
 columns, such as the Leibniz system of ``algebra.derivation_space``) is
-eliminated on a few of its rows: ``_echelon`` keeps one row of each set
-that repeat up to sign and scale, picks the earliest rows that are
-independent mod a fixed prime, eliminates those exactly, and keeps that
-result only if every kernel vector it gives annihilates each distinct row
-exactly. Otherwise it eliminates all the distinct rows. RREF is unique for
-a span, so the result is the same either way.
+solved on a few of its rows: ``_echelon`` keeps one row of each set that
+repeat up to sign and scale, picks the earliest rows that are independent
+mod the prime 2**61 - 1, and reads their RREF over QQ off their RREF mod
+that prime by rational reconstruction. The result is kept only if every
+kernel vector it gives annihilates each distinct row exactly. If the
+reconstruction fails or misses the picked rows, they are eliminated
+exactly and checked the same way; if a row lies outside their span, all
+the distinct rows are eliminated. RREF is unique for a span, so the
+result is the same either way.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .rings import CoeffRing, _from_numerators, _numerators, _reduce, _unit_row
 
 # the prime of the row selection in `_echelon`: large, so that it seldom
 # divides the minors of a system and drops its rank (which costs one more
-# elimination), and below 2**30, so that a residue is a one-digit int
-_SELECTION_PRIME = 2**30 - 35
+# elimination), and so that `_lift` reconstructs fractions with numerator
+# and denominator up to _LIFT_BOUND (about 2**30) from one residue
+_SELECTION_PRIME = 2**61 - 1
+_LIFT_BOUND = isqrt(_SELECTION_PRIME // 2)
+# `_independent_rows` weighs the free columns by its powers mod the prime
+_WEIGHT_BASE = 0x9E3779B97F4A7C15
 
 
 def _numerator_rows(ring: CoeffRing, rows):
@@ -56,15 +64,20 @@ def _echelon(rows, ring: CoeffRing):
     and scale (compared in primitive form). If at least 2n rows are still
     left, `_independent_rows` picks the earliest ones that are independent
     mod `_SELECTION_PRIME`; they are independent over QQ too, so they span
-    a subspace of the rows' span. `_eliminate` reduces the picked rows
-    only, and the result is kept only if `_annihilates` finds that each
-    kernel vector read off its free columns annihilates every distinct row
-    exactly (a dropped row is a multiple of one of them): then every row
-    lies in the span of the picked ones, and both spans have the same RREF.
-    If the prime dropped the rank, some row fails that check, and
-    `_eliminate` reduces all the distinct rows instead. With fewer than 2n
-    rows, as in a sparse system with many repeats, picking and checking
-    would cost more than they save.
+    a subspace of the rows' span. `_lift` reads their RREF over QQ off
+    their RREF mod the prime, which `_independent_rows` also returns. The
+    lift is their RREF if the kernel vectors read off its free columns
+    annihilate them exactly (`_annihilates`): the lift has the shape of an
+    RREF and is orthogonal to those n - r independent vectors, which span
+    the kernel of r independent rows. If it fails that check, or an entry
+    has no fraction within the bound, `_eliminate` reduces the picked rows
+    instead. That RREF is returned if its kernel vectors annihilate the
+    other distinct rows exactly too (a dropped row is a multiple of one of
+    them): then every row lies in the span of the picked ones, and both
+    spans have the same RREF. If the prime dropped the rank, some row
+    fails that check, and `_eliminate` reduces all the distinct rows. With
+    fewer than 2n rows, as in a sparse system with many repeats, picking
+    and checking would cost more than they save.
     """
     work = [r for r in rows if any(r)]
     if ring.p or not work or len(work) < 2 * len(work[0]):
@@ -73,12 +86,16 @@ def _echelon(rows, ring: CoeffRing):
     n = len(work[0])
     if len(work) < 2 * n:
         return _eliminate(work, ring)
-    picked = _independent_rows(work)
-    # copies: `_eliminate` may update a row in place, and `work` is checked
-    echelon, pivots = _eliminate([list(work[t]) for t in picked], ring)
-    if _annihilates(echelon, pivots, n, work):
-        return echelon, pivots
-    return _eliminate(work, ring)
+    picked, pivots, free_cols = _independent_rows(work)
+    chosen = set(picked)
+    top = [work[t] for t in picked]
+    rest = [r for t, r in enumerate(work) if t not in chosen]
+    echelon = _lift(pivots, free_cols, n)
+    if echelon is None or not _annihilates(*echelon, n, top):
+        # copies: `_eliminate` may update a row in place; its result is
+        # exact, so only the other rows are checked
+        echelon = _eliminate([list(r) for r in top], ring)
+    return echelon if _annihilates(*echelon, n, rest) else _eliminate(work, ring)
 
 
 def _eliminate(work, ring: CoeffRing):
@@ -133,65 +150,136 @@ def _eliminate(work, ring: CoeffRing):
 def _distinct(work, ring: CoeffRing):
     """One row of each set of the nonzero integer rows `work` that repeat
     up to sign and scale, in the order of first appearance: the primitive
-    multiple with a positive leading entry (`rings._unit_row`)."""
+    multiple with a positive leading entry (`rings._unit_row`). Exact
+    repeats are dropped first, by hashing, before any gcd."""
+    rows = dict.fromkeys(map(tuple, work))
     # the first nonzero value of a row first occurs at its leading column
-    lead = [r.index(next(filter(None, r))) for r in work]
     return [list(r) for r in dict.fromkeys(
-        tuple(_unit_row(ring, r, j)) for r, j in zip(work, lead))]
+        tuple(_unit_row(ring, r, r.index(next(filter(None, r))))) for r in rows)]
 
 
 def _independent_rows(work):
-    """Indices of the earliest rows of the integer rows `work` that are
-    independent mod `_SELECTION_PRIME`: row t is picked iff it is
-    independent of rows 0..t-1 mod that prime, so these are the pivot
-    columns of the transpose's echelon form mod the prime.
+    """The earliest rows of the integer rows `work` that are independent
+    mod `_SELECTION_PRIME`, and their RREF mod that prime: (indices,
+    pivots, [(f, column f of the RREF) for each free column f]). Row t is
+    picked iff it is independent of rows 0..t-1 mod the prime, so these
+    are the pivot columns of the transpose's echelon form mod the prime.
 
     The picked rows are held in reduced echelon form mod the prime, stored
     by the columns that are not yet pivots: cols[k][i] is entry k of
-    reduced row i, whose pivot is pivots[i]. A row's residual in column k
-    is then r[k] - sum over i of r[pivots[i]] * cols[k][i], one dot product
-    per free column, and the row is independent iff some residual is
-    nonzero. As the rank grows the free columns get fewer, so a tall system
-    costs little per row.
+    reduced row i, whose pivot is pivots[i]; the row is 1 there and 0 at
+    the other pivots and at the free columns left of its pivot. A row's
+    residual in free column k is r[k] - sum over i of r[pivots[i]] *
+    cols[k][i], and the row is independent iff some residual is nonzero;
+    its first nonzero residual is the new pivot. A dependent row costs
+    one dot product: its residuals weighted by the powers of
+    `_WEIGHT_BASE` sum to zero, and that sum is the weighted sum of
+    r[free] minus the sum over i of r[pivots[i]] * comb[i], for comb[i]
+    the same weighted sum of the free entries of reduced row i. An
+    independent row whose weighted sum vanishes too (the base is then a
+    root of a nonzero polynomial of degree below n, as about n in P bases
+    are) is passed over as if the prime dropped the rank, which the exact
+    checks of `_echelon` catch.
     """
     P = _SELECTION_PRIME
     n = len(work[0])
     free = list(range(n))
     cols = [[] for _ in range(n)]
+    weights = [1]
+    for _ in range(1, n):
+        weights.append(weights[-1] * _WEIGHT_BASE % P)
+    wfree, comb = weights[:], []
     pivots = []
     picked = []
     for t, r in enumerate(work):
-        rp = [r[j] for j in pivots]
-        for k in free:
+        get = r.__getitem__
+        if not (sum(map(mul, wfree, map(get, free))) - sum(map(mul, map(get, pivots), comb))) % P:
+            continue
+        rp = list(map(get, pivots))
+        for at, k in enumerate(free):
             c = (r[k] - sum(map(mul, rp, cols[k]))) % P
             if c:
                 break
-        else:
-            continue
         # the residual over c is a new reduced row with pivot k; clear
         # column k from the rows held so far
         inv = pow(c, -1, P)
         ck = cols[k]
-        free.remove(k)
+        del free[at], wfree[at]
+        wsum = 0
         for k2 in free:
             col = cols[k2]
             e = (r[k2] - sum(map(mul, rp, col))) % P * inv % P
             if e:
                 cols[k2] = col = [(a - b * e) % P for a, b in zip(col, ck)]
+                wsum += weights[k2] * e
             col.append(e)
         pivots.append(k)
         picked.append(t)
         if not free:
             break
-    return picked
+        # column k leaves the combination, and each column k2 gained
+        # -e * ck in the update
+        wsum %= P
+        scale = weights[k] + wsum
+        comb = [(a - b * scale) % P for a, b in zip(comb, ck)]
+        comb.append(wsum)
+    return picked, pivots, [(f, cols[f]) for f in free]
+
+
+def _lift(pivots, free_cols, n: int):
+    """The RREF over QQ whose residues mod `_SELECTION_PRIME` are the
+    reduced rows of `_independent_rows` (pivots, free columns), in the
+    stored form of `_eliminate`: (rows, pivot columns), or None when some
+    entry has no fraction a/b with |a|, b <= _LIFT_BOUND.
+
+    Each entry is recovered by rational reconstruction (Wang, Guy and
+    Davenport 1982): the extended Euclidean algorithm on (P, e), stopped
+    at the first remainder within the bound. Within the bound the fraction
+    is unique, since 2 * _LIFT_BOUND**2 < P. A row over the lcm L of its
+    denominators is primitive with the positive pivot L: the highest power
+    of a prime q that divides L divides some denominator b, and then the
+    scaled numerator a * L / b is prime to q.
+    """
+    P, B = _SELECTION_PRIME, _LIFT_BOUND
+    fracs = [[] for _ in pivots]
+    for f, col in free_cols:
+        for i, e in enumerate(col):
+            if e:
+                r0, r1, t0, t1 = P, e, 0, 1
+                while r1 > B:
+                    q = r0 // r1
+                    r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+                if t1 < 0:
+                    r1, t1 = -r1, -t1
+                if t1 > B or gcd(r1, t1) != 1:
+                    return None
+                fracs[i].append((f, r1, t1))
+    rows = []
+    for j, row_fracs in sorted(zip(pivots, fracs)):
+        L = lcm(*[b for _, _, b in row_fracs])
+        row = [0] * n
+        row[j] = L
+        for f, a, b in row_fracs:
+            row[f] = a * (L // b)
+        rows.append(row)
+    return rows, sorted(pivots)
 
 
 def _annihilates(echelon, pivots, n: int, rows) -> bool:
-    """Whether each kernel vector of the `_eliminate` result (`echelon`,
-    `pivots`) with n columns annihilates every integer row of `rows`
-    exactly. The vector of free column f is an integer one: D at f,
-    -r[f] * D / r[j] at the pivot j of each echelon row r, and 0 elsewhere,
-    for D the lcm of the pivots r[j] with r[f] != 0."""
+    """Whether each kernel vector of the echelon rows `echelon` (stored
+    as by `_eliminate`, pivot columns `pivots`) with n columns annihilates
+    every integer row of `rows` exactly. The vector of free column f is an
+    integer one: D at f, -r[f] * D / r[j] at the pivot j of each echelon
+    row r, and 0 elsewhere, for D the lcm of the pivots r[j] with
+    r[f] != 0.
+
+    All vectors v_0, v_1, ... are checked by one dot product per row, with
+    w = sum over s of v_s * 2**(K*s): row . w is the sum of the terms
+    row . v_s * 2**(K*s), each |row . v_s| < 2**K for the K chosen, so it
+    is zero iff every row . v_s is (the lowest nonzero term would leave a
+    nonzero remainder mod 2**(K*(s+1))).
+    """
+    vecs = []
     for f in set(range(n)).difference(pivots):
         terms = [(j, r[f], r[j]) for r, j in zip(echelon, pivots) if r[f]]
         D = lcm(*[pv for _, _, pv in terms])
@@ -199,9 +287,13 @@ def _annihilates(echelon, pivots, n: int, rows) -> bool:
         v[f] = D
         for j, c, pv in terms:
             v[j] = -c * (D // pv)
-        if any(sum(map(mul, r, v)) for r in rows):
-            return False
-    return True
+        vecs.append(v)
+    if not vecs or not rows:
+        return True
+    K = (n.bit_length() + max(map(abs, chain.from_iterable(rows))).bit_length()
+         + max(map(abs, chain.from_iterable(vecs))).bit_length())
+    w = [sum(a << (K * s) for s, a in enumerate(col)) for col in zip(*vecs)]
+    return not any(sum(map(mul, r, w)) for r in rows)
 
 
 def _field_echelon(rows, ring: CoeffRing):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import comb
+from math import comb, lcm
 from operator import index
 
 from .algebra import (Algebra, Derivation, MultilinearIdentity, _check_operands, b_sequence,
@@ -98,8 +98,9 @@ def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> Dif
     """Product in A[x; delta]: x-powers commute past coefficients via the
     binomial expansion of x^d * a.
 
-    The products and delta-iterates are kept as integer numerators, and
-    each output coefficient is reduced once.
+    The coefficients of f and the delta-iterates of g's coefficients are
+    brought to one denominator each, `_ore_product` adds the products as
+    integer numerators, and each output coefficient is reduced once.
     """
     _check_operands(A, delta, f.coeffs + g.coeffs)
     if f.is_zero or g.is_zero:
@@ -108,27 +109,51 @@ def ore_multiply(A: Algebra, delta: Derivation, f: DiffPoly, g: DiffPoly) -> Dif
     fnums = [_numerators(ring, fa) if any(fa) else None for fa in f.coeffs]
     chains = [delta._iterates_num(ring, *_numerators(ring, gb), f.degree) if any(gb) else ()
               for gb in g.coeffs]
-    return DiffPoly(A, [_from_numerators(ring, *A._sum_num(terms))
-                        for terms in _ore_terms(A, fnums, chains)])
+    fden = lcm(*[fa[1] for fa in fnums if fa])
+    gden = lcm(*[d for chain in chains for _, d in chain])
+    out = _ore_product(A, _over(fden, fnums), [_over(gden, chain) for chain in chains])
+    den = fden * gden * A._den
+    return DiffPoly(A, [_from_numerators(ring, v, den) for v in out])
 
 
-def _ore_terms(A: Algebra, fnums, chains) -> list:
-    """The product loop of `ore_multiply` on integer numerators: the terms
-    (binomial, numerators, denominator) of f * g by x-degree, for f given
-    as (numerators, denominator) per x-degree (None where zero) and g as
-    the delta-chain of its coefficient per x-degree (() where zero), each
-    chain reaching at least the degree of f."""
-    by_degree = [[] for _ in range(len(fnums) + len(chains) - 1)]
+def _over(den: int, pairs) -> list:
+    """The numerators of (numerators, denominator) pairs, None kept, over
+    den, a multiple of every denominator."""
+    return [p and (p[0] if p[1] == den else [a * (den // p[1]) for a in p[0]]) for p in pairs]
+
+
+def _ore_product(A: Algebra, fvecs, chains) -> list:
+    """The product loop of `ore_multiply` and `direct_product` on integer
+    numerators: one numerator vector per x-degree of f * g, over the
+    denominator of f's vectors times that of g's chains times A._den. f is
+    given as a vector per x-degree (None where zero), and g as the
+    delta-chain of its coefficient per x-degree (empty where zero), each
+    chain reaching at least the degree of f.
+
+    fa x^i * gb x^j = sum over t of C(i, t) fa delta^t(gb) x^(i-t+j), and
+    each product runs over the structure constants straight into the
+    vector of its x-degree.
+    """
+    rows = A._rows
+    out = [[0] * A.rank for _ in range(len(fvecs) + len(chains) - 1)]
     for j, chain in enumerate(chains):
-        if not chain:
-            continue
-        for i, fa in enumerate(fnums):
+        for i, fa in enumerate(fvecs):
             if fa is None:
                 continue
-            # fa x^i * gb x^j = sum_t C(i,t) fa delta^t(gb) x^(i-t+j)
             for t, cur in enumerate(chain[:i + 1]):
-                by_degree[i - t + j].append((comb(i, t), *A._mul_num(*fa, *cur)))
-    return by_degree
+                acc = out[i - t + j]
+                m = comb(i, t)
+                for s, a in enumerate(fa):
+                    row = rows[s]
+                    if row and a:
+                        a *= m
+                        for q, consts in row:
+                            b = cur[q]
+                            if b:
+                                b *= a
+                                for k, c in consts:
+                                    acc[k] += b * c
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,8 +342,9 @@ def direct_product(A: Algebra, delta: Derivation, generators, head: int,
     The factors are taken as in `rewrite_product`, with the same checks.
     Equal to the `ore_multiply` product of the monomials a_head x^{p_1},
     a_{i_1} x^{p_2}, ... taken left to right, but the running product
-    stays integer numerators, (numerators, denominator) or None per
-    x-degree, reduced mod p once per factor; its coefficients become ring
+    stays integer numerators, a vector or None per x-degree over one
+    denominator; `_ore_product` forms each factor's products, which are
+    reduced mod p once per factor, and the coefficients become ring
     elements at the end.
     """
     gens, head, gen_indices, exps = _check_factors(A, delta, generators, head, gen_indices,
@@ -327,23 +353,18 @@ def direct_product(A: Algebra, delta: Derivation, generators, head: int,
     chain = delta._chain(ring, gens[head], 0)
     if not chain:
         return DiffPoly.zero(A)
-    acc = [None] * exps[0] + [chain[0]]
+    vecs, den = [None] * exps[0] + [chain[0][0]], chain[0][1]
     for idx, p in zip(gen_indices, exps[1:]):
-        chain = delta._chain(ring, gens[idx], len(acc) - 1)
-        acc = [_sum_reduced(A, terms) for terms in _ore_terms(A, acc, [()] * p + [chain])]
-        while acc and acc[-1] is None:
-            acc.pop()
-        if not acc:
+        chain = delta._chain(ring, gens[idx], len(vecs) - 1)
+        gden = lcm(*[d for _, d in chain])
+        out = _ore_product(A, vecs, [()] * p + [_over(gden, chain)])
+        vecs = [v if any(v) else None for v in (_reduce(ring, v) for v in out)]
+        den *= gden * A._den
+        while vecs and vecs[-1] is None:
+            vecs.pop()
+        if not vecs:
             return DiffPoly.zero(A)
-    return DiffPoly(A, [_from_numerators(ring, *c) if c else A.zero() for c in acc])
-
-
-def _sum_reduced(A: Algebra, terms):
-    """The sum of (binomial, numerators, denominator) terms as
-    (numerators reduced mod p, denominator), or None when it is zero."""
-    nums, den = A._sum_num(terms)
-    nums = _reduce(A.ring, nums)
-    return (nums, den) if any(nums) else None
+    return DiffPoly(A, [_from_numerators(ring, v, den) if v else A.zero() for v in vecs])
 
 
 def _poly_vector(A: Algebra, f: DiffPoly, deg_cap: int):

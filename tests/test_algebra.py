@@ -1271,6 +1271,42 @@ def test_inner_derivation_matches_reference(A, u):
     verify_leibniz(A, D.matrix)
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_inner_derivation_rows_apply_as_the_reference(ring):
+    """The integer rows an inner derivation keeps from its own pass are
+    the ones `Derivation` builds from the reference matrix, and both apply
+    alike: over QQ on conjugates (Fraction constants, Fraction and int u),
+    over GF(5) with u reduced and unreduced."""
+    rng = random.Random(20261022)
+    if ring == QQ:
+        algebras = [random_conjugate(base, rng) for base in
+                    (upper_2x2(), truncated_polynomial(QQ, 4), full_matrix(2), block_upper((2, 1)))]
+        elements = [lambda A: random_element(A, rng),
+                    lambda A: tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                    for _ in range(A.rank))]
+    else:
+        algebras = [strictly_upper_3x3(ring), block_upper((2, 1), ring), full_matrix(2, ring),
+                    charp_truncated(5)[0]]
+        elements = [lambda A: tuple(rng.randrange(5) for _ in range(A.rank)),
+                    lambda A: tuple(rng.randint(-12, 12) for _ in range(A.rank))]
+    for A in algebras:
+        for draw in elements:
+            u = draw(A)
+            D, R = inner_derivation(A, u), reference.inner_derivation(A, u)
+            assert D == R and hash(D) == hash(R)
+            assert (D._rows, D._den) == (R._rows, R._den)
+            for _ in range(4):
+                x = draw(A)
+                assert _typed([D.apply(ring, x)]) == _typed([R.apply(ring, x)])
+                assert D.iterates(ring, x, 3) == R.iterates(ring, x, 3)
+    if ring == QQ:
+        # u has the numerators (1, 2, -1) over 2, and every entry of the
+        # pass is even: the rows are divided by that common factor
+        A, u = upper_2x2(), (Fraction(1, 2), Fraction(1), Fraction(-1, 2))
+        D, R = inner_derivation(A, u), reference.inner_derivation(A, u)
+        assert (D._rows, D._den) == (R._rows, R._den) == (((), ((0, -1), (1, 1), (2, 1)), ()), 1)
+
+
 @pytest.mark.parametrize("length", [0, 2, 4])
 def test_inner_derivation_refuses_wrong_length(length):
     A = strictly_upper_3x3()

@@ -1,12 +1,16 @@
 """Exact linear algebra: echelon forms and canonical subspaces over every ring."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
+from conftest import random_conjugate
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import leibniz_terms
 
 from orelab import linalg
+from orelab.catalog import truncated_polynomial
 from orelab.linalg import Subspace, nullspace, rref, solve_linear
 from orelab.rings import GF, QQ, ZZ
 
@@ -247,19 +251,21 @@ def spy_eliminations(monkeypatch):
     return calls
 
 
-def test_tall_system_eliminates_the_picked_rows_only(monkeypatch):
-    # 8 distinct rows in 3 columns, of rank 3: three rows are picked, and
-    # the exact check accepts their elimination
+def test_tall_system_eliminates_nothing_when_the_lift_holds(monkeypatch):
+    # 8 distinct rows in 3 columns, of rank 3: three rows are picked, their
+    # RREF mod P lifts to QQ, and the exact check accepts it, so no row is
+    # eliminated exactly
     rows = [[1, i, i * i] for i in range(8)]
     calls = spy_eliminations(monkeypatch)
     assert rref(rows, QQ) == reference_rref(rows)
-    assert calls == [3]
+    assert calls == []
 
 
 def test_tall_system_falls_back_when_the_prime_drops_the_rank(monkeypatch):
-    # mod P every row is a multiple of (1, 1), so one row is picked; over
-    # QQ and ZZ the rows have rank 2, and the exact check sends the system
-    # to the full elimination of its four distinct rows
+    # mod P every row is a multiple of (1, 1), so one row is picked; its
+    # lift (1, 1) is exact, but over QQ and ZZ the rows have rank 2, so the
+    # exact check sends the system straight to the full elimination of its
+    # four distinct rows
     P = linalg._SELECTION_PRIME
     ints = [[1, 1], [1, 1 + P], [2, 2 + P], [3, 3 + P]]
     expected = reference_rref(ints)
@@ -267,15 +273,108 @@ def test_tall_system_falls_back_when_the_prime_drops_the_rank(monkeypatch):
     calls = spy_eliminations(monkeypatch)
     S = Subspace.span(ZZ, 2, ints)
     assert S.dim == 2 and S.basis == tuple(primitive_positive(r) for r in expected)
-    assert calls == [1, 4]
+    assert calls == [4]
     rows = [[Fraction(a) for a in r] for r in ints]
     for run in (lambda: Subspace.span(QQ, 2, rows).basis, lambda: rref(rows, QQ)):
         calls.clear()
         assert list(run()) == expected
-        assert calls == [1, 4]
+        assert calls == [4]
     calls.clear()
     assert nullspace(rows, QQ) == []
-    assert calls == [1, 4]
+    assert calls == [4]
+
+
+def leibniz_rows(A):
+    """The Leibniz system of `derivation_space` in the unknowns a*r + b =
+    D[a][b], one dense integer row per residual coordinate, built from the
+    reference walk."""
+    r = A.rank
+    unknown_rows = [tuple((b, a * r + b) for b in range(r)) for a in range(r)]
+    unknown_cols = [tuple((a, a * r + b) for a in range(r)) for b in range(r)]
+    eqs = {}
+    for key, col, c in leibniz_terms(A, unknown_rows, unknown_cols):
+        eqs.setdefault(key, [0] * (r * r))[col] += c
+    return list(eqs.values())
+
+
+def test_dense_leibniz_system_is_lifted_without_exact_elimination(monkeypatch):
+    # the conjugate of QQ[t]/(t^4) that the benchmark's structure scan draws
+    # first from its pool seed: 64 rows, 40 distinct, rank 13 in 16 columns,
+    # RREF entries within the reconstruction bound
+    A = random_conjugate(truncated_polynomial(QQ, 4), random.Random(0x5EED5))
+    rows = leibniz_rows(A)
+    expected = reference_rref(rows)
+    assert len(rows) == 64 and len(expected) == 13
+    assert max(max(abs(a.numerator), a.denominator) for r in expected for a in r) > 2**14
+    calls = spy_eliminations(monkeypatch)
+    assert rref(rows, QQ) == expected
+    assert len(nullspace(rows, QQ)) == 3
+    assert calls == []
+
+
+def test_tall_systems_beyond_the_lift_bound_eliminate_the_picked_rows(monkeypatch):
+    # rank 2 in 3 columns with RREF entries 2**40 + 1 and 2**35 / 3, past
+    # what one residue mod P can give back: the two picked rows are
+    # eliminated exactly, and that result passes the check on the rest
+    g1, g2 = [1, 0, 2**40 + 1], [0, 3, 2**35]
+    combos = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, -2), (-1, 4)]
+    ints = [[c1 * a + c2 * b for a, b in zip(g1, g2)] for c1, c2 in combos]
+    expected = reference_rref(ints)
+    assert expected[0][2] == 2**40 + 1 and expected[1][2] == Fraction(2**35, 3)
+    calls = spy_eliminations(monkeypatch)
+    S = Subspace.span(ZZ, 3, ints)
+    assert S.basis == tuple(primitive_positive(r) for r in expected)
+    assert calls == [2]
+    calls.clear()
+    rows = [[Fraction(a, 7) for a in r] for r in ints]
+    assert rref(rows, QQ) == expected
+    assert calls == [2]
+    # the same kind of system where every row is a multiple of the first
+    # mod P: one row is picked, its exact elimination fails the check, and
+    # all the distinct rows are eliminated
+    P = linalg._SELECTION_PRIME
+    ints = [[1, 2**40, 3]] + [[t, t * 2**40, 3 * t + s * P] for t, s in ((1, 1), (1, 2), (2, 1),
+                                                                         (3, 1), (1, 5))]
+    expected = reference_rref(ints)
+    assert len(expected) == 2
+    calls.clear()
+    assert rref(ints, QQ) == expected
+    assert calls == [1, 6]
+
+
+def test_row_passed_over_by_the_weighted_test_is_caught(monkeypatch):
+    # the first row's residuals (r[0], r[1], r[2]) weighted by 1, W, W**2
+    # sum to a multiple of P, so the selection passes it over as dependent
+    # and picks e_0 and e_2; the exact check finds it outside their span
+    P = linalg._SELECTION_PRIME
+    W = linalg._WEIGHT_BASE % P
+    rows = [[P - W, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1], [1, 0, 2], [2, 0, 1]]
+    assert linalg._independent_rows(rows)[0] == [1, 2]
+    calls = spy_eliminations(monkeypatch)
+    assert rref(rows, QQ) == reference_rref(rows)
+    assert calls == [6]
+
+
+def test_packed_kernel_check_keeps_each_dot_product_apart():
+    # the kernel vectors of the echelon row (1, 0, 0) are e_1 and e_2, and
+    # the row (0, c * 2**j, -c) meets them in c * 2**j and -c: packed into
+    # one dot product, those must not cancel as base-2**j digits would.
+    # With the echelon row (1, -2**j, 0) the large entry is in the kernel
+    # vector (2**j, 1, 0) instead, and the row (c, 0, -c) meets the two
+    # vectors in the same values.
+    for j in range(1, 80):
+        for c in (1, -3, 5):
+            assert not linalg._annihilates([[1, 0, 0]], [0], 3, [[0, c * 2**j, -c]])
+            assert linalg._annihilates([[1, 0, 0]], [0], 3, [[c * 2**j, 0, 0]])
+            assert not linalg._annihilates([[1, -2**j, 0]], [0], 3, [[c, 0, -c]])
+            assert linalg._annihilates([[1, -2**j, 0]], [0], 3, [[c, -c * 2**j, 0]])
+        # a dot product that adds four terms: the kernel vectors of the
+        # rows e_i - e_3 (i < 3) are (1, 1, 1, 1, 0) and e_4, which meet
+        # the row in 4 * 2**j and -1; digits sized by the largest entries
+        # alone (2**(j+2)) would let them cancel
+        echelon = [[1, 0, 0, -1, 0], [0, 1, 0, -1, 0], [0, 0, 1, -1, 0]]
+        assert not linalg._annihilates(echelon, [0, 1, 2], 5, [[2**j] * 4 + [-1]])
+        assert linalg._annihilates(echelon, [0, 1, 2], 5, [[2**j, 2**j, -2**j, -2**j, 0]])
 
 
 @given(st.data())
