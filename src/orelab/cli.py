@@ -77,8 +77,6 @@ def _parse_word(text: str) -> Word:
                 f"cannot parse word: item {i + 1} ({p!r}) is not a natural number"
             )
         letters.append(int(p))
-    if not letters:
-        raise CliInputError("word is empty")
     return Word(letters)
 
 
@@ -140,14 +138,13 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
         if ch in "+-":
             if cur:
                 terms.append((sign, "".join(cur).strip(_ASCII_SPACE)))
-                cur = []
-                sign = 1
+                sign, cur = 1, []
             if ch == "-":
                 sign = -sign
         else:
             cur.append(ch)
-    if cur:
-        terms.append((sign, "".join(cur).strip(_ASCII_SPACE)))
+    # an empty last term is a trailing or lone sign, refused below
+    terms.append((sign, "".join(cur).strip(_ASCII_SPACE)))
     coeffs: dict[int, object] = {}
     ring = A.ring
     for sign, term in terms:
@@ -161,7 +158,7 @@ def _parse_poly(A: Algebra, text: str) -> DiffPoly:
                 raise CliInputError(f"empty factor in term {term!r}")
             if part == "x" or (part.startswith("x^") and is_digits(part[2:])):
                 xpow += 1 if part == "x" else int(part[2:])
-            elif part[0].isdigit() or part[0] == "-":
+            elif part[0].isdigit():
                 try:
                     coeff = ring.mul(coeff, ring.parse(part))
                 except MalformedInput:

@@ -12,7 +12,8 @@ themselves hand them over without that scan. The Leibniz system of
 gram matrix of ``radical.radical_char0`` are such rows: they come from the
 integer structure constants ``Algebra._rows`` without any ``mul``, as do
 the Leibniz residual of ``algebra.verify_leibniz`` and the matrix of
-``algebra.inner_derivation``.
+``algebra.inner_derivation``. So are the products of the Ore power walk
+(``orepoly._power_dims``) and the radical's kernel vectors (``_kernel``).
 
 A tall system over QQ or ZZ (at least twice as many distinct rows as
 columns, such as the Leibniz system of ``algebra.derivation_space``) is
@@ -265,22 +266,14 @@ def _lift(pivots, free_cols, n: int):
     return rows, sorted(pivots)
 
 
-def _annihilates(echelon, pivots, n: int, rows) -> bool:
-    """Whether each kernel vector of the echelon rows `echelon` (stored
-    as by `_eliminate`, pivot columns `pivots`) with n columns annihilates
-    every integer row of `rows` exactly. The vector of free column f is an
-    integer one: D at f, -r[f] * D / r[j] at the pivot j of each echelon
-    row r, and 0 elsewhere, for D the lcm of the pivots r[j] with
-    r[f] != 0.
-
-    All vectors v_0, v_1, ... are checked by one dot product per row, with
-    w = sum over s of v_s * 2**(K*s): row . w is the sum of the terms
-    row . v_s * 2**(K*s), each |row . v_s| < 2**K for the K chosen, so it
-    is zero iff every row . v_s is (the lowest nonzero term would leave a
-    nonzero remainder mod 2**(K*(s+1))).
-    """
+def _kernel(echelon, pivots, n: int):
+    """The integer kernel vectors of the echelon rows `echelon` (stored as
+    by `_eliminate`, pivot columns `pivots`) with n columns, one per free
+    column f in ascending order: D > 0 at f, -r[f] * D / r[j] at the pivot
+    j of each echelon row r, and 0 elsewhere, for D the lcm of the
+    (positive) pivots r[j] with r[f] != 0."""
     vecs = []
-    for f in set(range(n)).difference(pivots):
+    for f in sorted(set(range(n)).difference(pivots)):
         terms = [(j, r[f], r[j]) for r, j in zip(echelon, pivots) if r[f]]
         D = lcm(*[pv for _, _, pv in terms])
         v = [0] * n
@@ -288,6 +281,20 @@ def _annihilates(echelon, pivots, n: int, rows) -> bool:
         for j, c, pv in terms:
             v[j] = -c * (D // pv)
         vecs.append(v)
+    return vecs
+
+
+def _annihilates(echelon, pivots, n: int, rows) -> bool:
+    """Whether every `_kernel` vector of `echelon` (pivot columns `pivots`,
+    n columns) annihilates each integer row of `rows` exactly.
+
+    All vectors v_0, v_1, ... are checked by one dot product per row, with
+    w = sum over s of v_s * 2**(K*s): row . w is the sum of the terms
+    row . v_s * 2**(K*s), each |row . v_s| < 2**K for the K chosen, so it
+    is zero iff every row . v_s is (the lowest nonzero term would leave a
+    nonzero remainder mod 2**(K*(s+1))).
+    """
+    vecs = _kernel(echelon, pivots, n)
     if not vecs or not rows:
         return True
     K = (n.bit_length() + max(map(abs, chain.from_iterable(rows))).bit_length()
@@ -318,20 +325,12 @@ def nullspace(rows, ring: CoeffRing):
 
 
 def _nullspace(rows, ring: CoeffRing):
-    """`nullspace` of integer rows (at least one), which it may overwrite."""
+    """`nullspace` of integer rows (at least one), which it may overwrite:
+    the `_kernel` vectors, each scaled to 1 at its free column."""
     n = len(rows[0])
     work, pivots = _field_echelon(rows, ring)
     free = sorted(set(range(n)).difference(pivots))
-    # echelon row r with pivot j sets x[j] = -sum over free f of r[f] / r[j] * x[f]
-    coeffs = [_from_numerators(ring, [r[f] for f in free], -r[j]) for r, j in zip(work, pivots)]
-    basis = []
-    for s, f in enumerate(free):
-        v = [ring.zero] * n
-        v[f] = ring.one
-        for c, j in zip(coeffs, pivots):
-            v[j] = c[s]
-        basis.append(tuple(v))
-    return basis
+    return [_from_numerators(ring, v, v[f]) for f, v in zip(free, _kernel(work, pivots, n))]
 
 
 def solve_linear(rows, rhs, ring: CoeffRing):

@@ -123,10 +123,10 @@ def _over(den: int, pairs) -> list:
 
 
 def _ore_product(A: Algebra, fvecs, chains) -> list:
-    """The product loop of `ore_multiply` and `direct_product` on integer
-    numerators: one numerator vector per x-degree of f * g, over the
-    denominator of f's vectors times that of g's chains times A._den. f is
-    given as a vector per x-degree (None where zero), and g as the
+    """The product loop of `ore_multiply`, `direct_product` and `_power_dims`
+    on integer numerators: one numerator vector per x-degree of f * g, over
+    the denominator of f's vectors times that of g's chains times A._den. f
+    is given as a vector per x-degree (None where zero), and g as the
     delta-chain of its coefficient per x-degree (empty where zero), each
     chain reaching at least the degree of f.
 
@@ -367,25 +367,23 @@ def direct_product(A: Algebra, delta: Derivation, generators, head: int,
     return DiffPoly(A, [_from_numerators(ring, v, den) if v else A.zero() for v in vecs])
 
 
-def _poly_vector(A: Algebra, f: DiffPoly, deg_cap: int):
-    vec = []
-    for i in range(deg_cap + 1):
-        c = f.coeffs[i] if i < len(f.coeffs) else A.zero()
-        vec.extend(c)
-    return vec
-
-
 def _power_dims(A: Algebra, delta: Derivation, S):
     """dim span(S^m) for m = 1, 2, ..., stopping after the first 0.
 
-    One walk: span(S^m) = span(span(S^(m-1)) * S), on the stored rows of
-    span(S^(m-1)). Power m has x-degree at most m * (max degree of S), so
-    each power gets its own graded coordinate block.
+    One walk on integer rows: span(S^m) = span(span(S^(m-1)) * S). Each
+    stored row of span(S^(m-1)) is cut into a vector per x-degree (None
+    where zero) and multiplied by each element of S through `_ore_product`,
+    whose products (over one denominator, which does not change their span)
+    are the rows of span(S^m). The delta-chains of S's coefficients are
+    formed once per power, unmemoised. Power m has x-degree at most m * (max
+    degree of S), so each power gets its own graded coordinate block.
     """
-    S = list(S)
-    maxdeg = max((f.degree for f in S if not f.is_zero), default=0)
-    r = A.rank
-    polys, current = S, None
+    ring, r = A.ring, A.rank
+    # each nonzero element's (numerators, denominator) per x-degree, to maxdeg
+    S = [[_numerators(ring, c) for c in g.coeffs] for g in S if g.coeffs]
+    maxdeg = max(map(len, S), default=1) - 1
+    S = [g + [([0] * r, 1)] * (maxdeg + 1 - len(g)) for g in S]
+    rows, current = [_over(lcm(*[d for _, d in g]), g) for g in S], None
     for m in count(1):
         deg_cap = maxdeg * m
         ambient = (deg_cap + 1) * r
@@ -398,10 +396,15 @@ def _power_dims(A: Algebra, delta: Derivation, S):
                 raise BudgetExceeded(
                     f"span dimension {current.dim} exceeds cap {DEFAULT_SPAN_CAP}"
                 )
-            prev = [DiffPoly(A, [row[i:i + r] for i in range(0, len(row), r)])
-                    for row in current.rows]
-            polys = [ore_multiply(A, delta, f, g) for f in prev for g in S]
-        current = Subspace.span(A.ring, ambient, [_poly_vector(A, f, deg_cap) for f in polys])
+            chains = [[delta._iterates_num(ring, *p, deg_cap - maxdeg) for p in g] for g in S]
+            den = lcm(*[d for g in chains for chain in g for _, d in chain])
+            chains = [[_over(den, chain) for chain in g] for g in chains]
+            rows = []
+            for row in current.rows:
+                fvecs = [row[i:i + r] for i in range(0, len(row), r)]
+                fvecs = [v if any(v) else None for v in fvecs]
+                rows.extend(_ore_product(A, fvecs, g) for g in chains)
+        current = Subspace.span(ring, ambient, [[a for v in vecs for a in v] for vecs in rows])
         yield current.dim
         if current.is_zero:
             return

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Derivation, _check_operands, nilpotency_index
 from .errors import PreconditionViolated, VerificationFailed
-from .linalg import Subspace, _nullspace
+from .linalg import Subspace, _echelon, _kernel
 from .rings import CoeffRing, _numerators, _reduce
 
 LEIBNIZ_CAP = 8
@@ -71,14 +71,14 @@ def radical_char0(A: Algebra) -> RadicalReport:
     # on the integer structure constants C = den * c (A._rows):
     # tr L_{e_k} = sum_j c_kj^j and B(e_i, e_j) = sum_k c_ij^k tr L_{e_k},
     # so gram is den^2 * B, which has the same kernel; its integer rows go
-    # to the elimination as they are
+    # to the elimination as they are, and its integer kernel vectors to the span
     traces = [sum(c for j, consts in row for k, c in consts if k == j) for row in A._rows]
     gram = [[0] * A.rank for _ in range(A.rank)]
     for i, row in enumerate(A._rows):
         for j, consts in row:
             gram[i][j] = sum(c * traces[k] for k, c in consts)
-    basis = _nullspace(gram, A.ring)
-    ok, cert = is_nil_ideal(A, Subspace.span(A.ring, A.rank, basis))
+    kernel = _kernel(*_echelon(gram, A.ring), A.rank)
+    ok, cert = is_nil_ideal(A, Subspace.span(A.ring, A.rank, kernel))
     if not ok:
         raise VerificationFailed(
             "trace-form kernel failed the nil-ideal re-check; "

@@ -182,7 +182,7 @@ def _layout(n: int) -> _Layout:
         vals = sorted(distinct.union(a + 1 for a in distinct if a < n - 1))
         if len(vals) > 255:
             raise ConstructionFailed(f"{len(vals)} letter codes at length {n}")
-        code = bytes(map(dict(zip(vals, range(len(vals)))).__getitem__, base))
+        code = kernels._encode(base, vals, len(vals))
         raisable = bytes(v < n - 1 for v in vals) + bytes(256 - len(vals))
         mask = int.from_bytes(code.translate(raisable), "little")
     return _Layout(

@@ -16,7 +16,7 @@ from orelab._kernels import b_bounded
 from orelab._kernels import weight as kernel_weight
 from orelab.algebra import Algebra, Derivation
 from orelab.errors import BudgetExceeded, ExponentTooLarge, OrelabError
-from orelab.linalg import nullspace
+from orelab.linalg import Subspace, nullspace
 from orelab.orepoly import CanonicalTerm, DiffPoly, ore_multiply
 from orelab.rings import _from_numerators, _numerators
 from orelab.words import Factorization, Word, as_word
@@ -346,6 +346,20 @@ def inner_derivation(A: Algebra, u) -> Derivation:
     return Derivation(tuple(tuple(cols[j][i] for j in range(A.rank)) for i in range(A.rank)))
 
 
+def radical_char0_reference(A: Algebra) -> Subspace:
+    """Reference for the subspace of radical.radical_char0: the span of
+    the public `nullspace` of the trace form B(e_i, e_j) = tr L_{e_i e_j},
+    with tr L_x = sum over k of coordinate k of x e_k, all by
+    `Algebra.mul` on ring elements."""
+    basis = [A.basis_element(i) for i in range(A.rank)]
+
+    def trace(x):
+        return sum((A.mul(x, e)[k] for k, e in enumerate(basis)), A.ring.zero)
+
+    gram = [[trace(A.mul(a, b)) for b in basis] for a in basis]
+    return Subspace.span(A.ring, A.rank, nullspace(gram, A.ring))
+
+
 # --- Ore polynomials: single steps and plain products -------------------------
 
 def dp_add(A: Algebra, f: DiffPoly, g: DiffPoly) -> DiffPoly:
@@ -384,6 +398,32 @@ def ore_product(A: Algebra, delta: Derivation, polys) -> DiffPoly:
     for p in it:
         acc = ore_multiply(A, delta, acc, p)
     return acc
+
+
+def power_dims_reference(A: Algebra, delta: Derivation, S, cap: int) -> tuple[int, ...]:
+    """Reference for orepoly._power_dims, as `minimal_nilpotency` reports
+    it: dim span(S^m) for m = 1 .. cap + 1, stopping after the first 0, by
+    the walk on ring elements. Each stored row of span(S^(m-1)) is rebuilt
+    as a DiffPoly, multiplied by each element of S with `ore_multiply`,
+    and the product's coefficients are laid out in the graded coordinates
+    of power m (x-degree at most m times the largest degree in S)."""
+    S = list(S)
+    maxdeg = max((f.degree for f in S if not f.is_zero), default=0)
+    r = A.rank
+    polys, current, dims = S, None, []
+    for m in range(1, cap + 2):
+        deg_cap = maxdeg * m
+        if current is not None:
+            prev = [DiffPoly(A, [row[i:i + r] for i in range(0, len(row), r)])
+                    for row in current.rows]
+            polys = [ore_multiply(A, delta, f, g) for f in prev for g in S]
+        coeffs = [list(f.coeffs) + [A.zero()] * (deg_cap + 1 - len(f.coeffs)) for f in polys]
+        current = Subspace.span(A.ring, (deg_cap + 1) * r,
+                                [[a for c in cs for a in c] for cs in coeffs])
+        dims.append(current.dim)
+        if current.is_zero:
+            break
+    return tuple(dims)
 
 
 def rewrite_product_merged(A: Algebra, delta: Derivation, generators, head: int,

@@ -45,6 +45,12 @@ def test_words_analyze_increasing_word_has_no_decreasing():
     assert "decreasing = none" in res.stdout
 
 
+def test_words_analyze_empty_word_is_item_one():
+    res = run_cli("words-analyze", "")
+    assert res.returncode == 2
+    assert "cannot parse word: item 1 ('') is not a natural number" in res.stderr
+
+
 def test_words_analyze_parse_error_position():
     res = run_cli("words-analyze", "1,x,3")
     assert res.returncode == 2
@@ -394,6 +400,28 @@ def test_ore_nilpotency_bad_set(tmp_path):
                   "--set", "x + x^2")
     assert res.returncode == 2
     assert "coefficient" in res.stderr
+
+
+@pytest.mark.parametrize("text", ["+", "-", "e12 +", "e12 -"])
+def test_ore_nilpotency_refuses_a_lone_or_trailing_sign(text, tmp_path, capsys):
+    from orelab import cli
+
+    assert cli.main(["examples", "upper3strict", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["ore-nilpotency", str(tmp_path / "upper3strict.json"),
+                     "--set", text]) == 2
+    assert f"dangling sign in polynomial {text!r}" in capsys.readouterr().err
+
+
+def test_leading_and_doubled_signs_still_parse():
+    from orelab import cli
+    from orelab.catalog import strictly_upper_3x3
+    from orelab.orepoly import DiffPoly
+
+    A = strictly_upper_3x3()
+    e12, e13 = A.basis_element(0), A.basis_element(1)
+    assert cli._parse_poly(A, "- e12") == DiffPoly.constant(A, A.scale(-1, e12))
+    assert cli._parse_poly(A, "e12 +-e13") == DiffPoly.constant(A, A.sub(e12, e13))
 
 
 def test_ore_rewrite(tmp_path):

@@ -378,6 +378,26 @@ def test_packed_kernel_check_keeps_each_dot_product_apart():
 
 
 @given(st.data())
+def test_kernel_vectors_annihilate_their_rows(data):
+    """One integer vector per free column, in ascending order: positive at
+    its free column, 0 at the other free columns, and orthogonal to every
+    row of the system exactly (mod p over GF(p)). Up to 4n rows, so tall
+    systems over QQ and ZZ take the lifted echelon form."""
+    ring = data.draw(st.sampled_from([QQ, ZZ, GF(2), GF(3), GF(5)]))
+    n = data.draw(st.integers(1, 6))
+    rows = linalg._numerator_rows(ring, data.draw(rows_over(ring, n, max_rows=4 * n)))
+    echelon, pivots = linalg._echelon([list(r) for r in rows], ring)
+    free = sorted(set(range(n)).difference(pivots))
+    vecs = linalg._kernel(echelon, pivots, n)
+    assert len(vecs) == len(free)
+    for f, v in zip(free, vecs):
+        assert v[f] > 0 and not any(v[g] for g in free if g != f)
+        for r in rows:
+            dot = sum(a * b for a, b in zip(r, v))
+            assert (dot % ring.p if ring.p else dot) == 0
+
+
+@given(st.data())
 def test_tall_systems_match_reference(data):
     """m rows in n columns, 2n <= m <= 4n: rows drawn from a few generators
     (so the rank is often below n), and repeats of earlier rows, some

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from reference import (
     linear_combination,
     mul_x_left,
     ore_product,
+    power_dims_reference,
     rewrite_product_merged,
     scale_int,
 )
@@ -700,6 +702,47 @@ def test_power_dims_over_zz_match_qq(n, rng):
         assert dims[0] == dims[1]
 
 
+def _power_dims_cases(rng):
+    """(algebra, derivation, polynomial set) triples: random conjugates over
+    QQ with random derivations, strictly upper matrices over ZZ and GF(7)
+    with inner derivations, and sets with a zero polynomial, of constants
+    only, and of x-degree 2."""
+    for base in (strictly_upper_3x3(), truncated_ideal(5), upper_2x2(), strictly_upper(4)):
+        A = random_conjugate(base, rng)
+        for _ in range(4):
+            # a third of a derivation and coefficients with denominators, so
+            # that one product sums terms over different denominators
+            D = Derivation(tuple(tuple(c / 3 for c in row)
+                                 for row in random_derivation(A, rng).matrix))
+            S = [DiffPoly(A, [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                    for _ in range(A.rank))
+                              for _ in range(rng.randint(1, 3))])
+                 for _ in range(rng.randint(1, 3))]
+            yield A, D, S
+    for ring in (ZZ, GF(7)):
+        A = strictly_upper(4, ring)
+        for _ in range(4):
+            D = inner_derivation(A, random_element(A, rng))
+            S = [DiffPoly(A, [random_element(A, rng) for _ in range(rng.randint(1, 3))])
+                 for _ in range(rng.randint(1, 3))]
+            yield A, D, S
+    A = random_conjugate(strictly_upper_3x3(), rng)
+    D = random_derivation(A, rng)
+    a, b, c = (random_element(A, rng) for _ in range(3))
+    yield A, D, [DiffPoly.zero(A)]
+    yield A, D, [DiffPoly.zero(A), DiffPoly(A, [a, b])]
+    yield A, D, [DiffPoly.constant(A, a), DiffPoly.constant(A, b)]
+    yield A, D, [DiffPoly(A, [a, A.zero(), c]), DiffPoly.monomial(A, b, 2)]
+    yield A, D, [DiffPoly(A, [a, b, c]), DiffPoly.constant(A, c)]
+
+
+def test_power_dims_match_the_ring_element_walk(rng):
+    # the walk on integer rows against the walk that rebuilds each row as a
+    # DiffPoly and multiplies it by ore_multiply
+    for A, D, S in _power_dims_cases(rng):
+        assert minimal_nilpotency(A, D, S, 8).power_dims == power_dims_reference(A, D, S, 8)
+
+
 def _scaled_ideal(n):
     """t*QQ[t]/(t^n) with delta = t d/dt, which sends t^j to j t^j."""
     A = truncated_ideal(n)
@@ -716,12 +759,13 @@ def test_minimal_nilpotency_walks_the_powers_once(monkeypatch):
     A, D = _scaled_ideal(6)
     t = A.basis_element(0)
     calls = []
+    real = orepoly._ore_product
 
     def counted(*args):
         calls.append(1)
-        return ore_multiply(*args)
+        return real(*args)
 
-    monkeypatch.setattr(orepoly, "ore_multiply", counted)
+    monkeypatch.setattr(orepoly, "_ore_product", counted)
     rep = minimal_nilpotency(A, D, [DiffPoly(A, [t, t])], 8)
     assert rep.minimal_N == 5 and rep.power_dims == (1, 1, 1, 1, 1, 0)
     assert len(calls) == 5

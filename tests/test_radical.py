@@ -13,7 +13,7 @@ from conftest import (
     random_element,
     truncated_ideal,
 )
-from reference import product, scale_int, unitalize
+from reference import product, radical_char0_reference, scale_int, unitalize
 
 from orelab.algebra import Algebra, inner_derivation, nilpotency_index, verify_leibniz
 from orelab.catalog import (
@@ -109,6 +109,9 @@ def test_radical_matches_unitalization(rng):
     for A in algebras:
         for B in (A, random_conjugate(A, rng), random_conjugate(A, rng)):
             J = radical_char0(B).radical
+            # the integer kernel vectors of the integer gram matrix span what
+            # the public nullspace of the trace form built by mul spans
+            assert J.rows == radical_char0_reference(B).rows
             U = unitalize(B)
             # A sits in the unitalization at coordinates 1..r
             assert U.span([(QQ.zero,) + tuple(v) for v in J.basis]) == radical_char0(U).radical
